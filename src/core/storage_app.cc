@@ -40,22 +40,36 @@ MsChunkContext::refill(std::uint8_t *dst, std::size_t capacity)
 }
 
 void
-MsChunkContext::msEmit(const void *data, std::size_t n)
+MsChunkContext::growStaging(std::size_t n)
 {
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    _staging.insert(_staging.end(), p, p + n);
-    _bytesEmitted += n;
-    noteDsram();
-    while (_staging.size() >= _flushThreshold) {
-        std::vector<std::uint8_t> seg(
-            _staging.begin(),
-            _staging.begin() +
-                static_cast<std::ptrdiff_t>(_flushThreshold));
-        _staging.erase(_staging.begin(),
-                       _staging.begin() +
-                           static_cast<std::ptrdiff_t>(_flushThreshold));
-        _flushes.push_back(std::move(seg));
+    MORPHEUS_ASSERT(n <= _dsramBytes - _staged,
+                    "StorageApp working set exceeds D-SRAM (",
+                    _dsramBytes, " bytes); lower the flush threshold");
+    // Fewer than _flushThreshold bytes stay staged between emits, so
+    // two thresholds hold every emit up to a threshold long. Sizing by
+    // the whole D-SRAM, or before the first emit, raises peak RSS.
+    const std::size_t cap = std::min<std::size_t>(
+        _dsramBytes,
+        std::max({2 * _stagingCap, 2 * std::size_t(_flushThreshold),
+                  _staged + n}));
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (_staged > 0)
+        std::memcpy(grown.get(), _staging.get(), _staged);
+    _staging = std::move(grown);
+    _stagingCap = cap;
+}
+
+void
+MsChunkContext::cutFlushes()
+{
+    const std::uint8_t *p = _staging.get();
+    std::size_t cut = 0;
+    while (_staged - cut >= _flushThreshold) {
+        _flushes.emplace_back(p + cut, p + cut + _flushThreshold);
+        cut += _flushThreshold;
     }
+    _staged -= cut;
+    std::memmove(_staging.get(), p + cut, _staged);
 }
 
 bool
@@ -116,8 +130,11 @@ MsChunkContext::takeFlushes()
 void
 MsChunkContext::flushResidual()
 {
-    if (!_staging.empty())
-        _flushes.push_back(std::exchange(_staging, {}));
+    if (_staged > 0) {
+        const std::uint8_t *p = _staging.get();
+        _flushes.emplace_back(p, p + _staged);
+        _staged = 0;
+    }
 }
 
 serde::ParseCost
@@ -126,21 +143,9 @@ MsChunkContext::abortCommand()
     const serde::ParseCost delta = takeCostDelta();
     _chunk.clear();
     _chunkPos = 0;
-    _staging.clear();
+    _staged = 0;
     _flushes.clear();
     return delta;
-}
-
-void
-MsChunkContext::noteDsram()
-{
-    const auto used = static_cast<std::uint32_t>(
-        std::min<std::size_t>(_staging.size() + 8 * 1024,
-                              ~std::uint32_t(0)));
-    _peakDsram = std::max(_peakDsram, used);
-    MORPHEUS_ASSERT(_staging.size() <= _dsramBytes,
-                    "StorageApp working set exceeds D-SRAM (",
-                    _dsramBytes, " bytes); lower the flush threshold");
 }
 
 }  // namespace morpheus::core

@@ -67,7 +67,18 @@ class MsChunkContext
     }
 
     /** ms_memcpy: stage @p n bytes of binary output for DMA. */
-    void msEmit(const void *data, std::size_t n);
+    void
+    msEmit(const void *data, std::size_t n)
+    {
+        if (n > _stagingCap - _staged)
+            growStaging(n);
+        if (n > 0)
+            std::memcpy(_staging.get() + _staged, data, n);
+        _staged += n;
+        _bytesEmitted += n;
+        if (_staged >= _flushThreshold)
+            cutFlushes();
+    }
 
     /** Stage one binary value (little endian). */
     template <typename T>
@@ -163,18 +174,18 @@ class MsChunkContext
     std::uint32_t
     dsramUse() const
     {
-        return static_cast<std::uint32_t>(_staging.size());
+        return static_cast<std::uint32_t>(_staged);
     }
 
     /** Total bytes emitted so far (before flushing). */
     std::uint64_t bytesEmitted() const { return _bytesEmitted; }
 
-    /** Peak D-SRAM footprint observed (carry + staging). */
-    std::uint32_t peakDsramUse() const { return _peakDsram; }
-
   private:
     std::size_t refill(std::uint8_t *dst, std::size_t capacity);
-    void noteDsram();
+    /** Make room for an @p n byte emit; panics past D-SRAM. */
+    void growStaging(std::size_t n);
+    /** Move every whole threshold of staged bytes into a segment. */
+    void cutFlushes();
 
     std::uint32_t _dsramBytes;
     std::uint32_t _flushThreshold;
@@ -189,10 +200,12 @@ class MsChunkContext
     serde::ParseCost _costSnapshot;
     serde::ParseCost _extraCost;  // app-charged work, drained per delta
 
-    std::vector<std::uint8_t> _staging;
+    /** Staged output, bounded by D-SRAM; allocated on first emit. */
+    std::unique_ptr<std::uint8_t[]> _staging;
+    std::size_t _stagingCap = 0;
+    std::size_t _staged = 0;
     std::vector<std::vector<std::uint8_t>> _flushes;
     std::uint64_t _bytesEmitted = 0;
-    std::uint32_t _peakDsram = 0;
 };
 
 /** User code executed inside the Morpheus-SSD. */

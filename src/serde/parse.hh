@@ -71,12 +71,20 @@ isDigit(std::uint8_t c)
  * @param cost  Accounting sink (bytes consumed are added).
  * @return Pointer to the first non-separator byte (or @p end).
  */
-const std::uint8_t *skipSeparators(const std::uint8_t *p,
-                                   const std::uint8_t *end,
-                                   ParseCost &cost);
+inline const std::uint8_t *
+skipSeparators(const std::uint8_t *p, const std::uint8_t *end,
+               ParseCost &cost)
+{
+    const std::uint8_t *start = p;
+    while (p < end && isSeparator(*p))
+        ++p;
+    cost.bytes += static_cast<std::uint64_t>(p - start);
+    return p;
+}
 
 /**
- * Parse one signed decimal integer at @p p.
+ * Parse one signed decimal integer at @p p. Inline: it is the inner
+ * loop of every integer StorageApp.
  *
  * @param p     First byte of the token (no leading separators).
  * @param end   One past the end of the range.
@@ -85,9 +93,28 @@ const std::uint8_t *skipSeparators(const std::uint8_t *p,
  * @return Pointer just past the consumed token, or nullptr if no valid
  *         integer starts at @p p.
  */
-const std::uint8_t *parseInt64(const std::uint8_t *p,
-                               const std::uint8_t *end, std::int64_t *out,
-                               ParseCost &cost);
+inline const std::uint8_t *
+parseInt64(const std::uint8_t *p, const std::uint8_t *end,
+           std::int64_t *out, ParseCost &cost)
+{
+    const std::uint8_t *start = p;
+    bool negative = false;
+    if (p < end && (*p == '-' || *p == '+')) {
+        negative = (*p == '-');
+        ++p;
+    }
+    if (p >= end || !isDigit(*p))
+        return nullptr;
+    std::int64_t value = 0;
+    while (p < end && isDigit(*p)) {
+        value = value * 10 + (*p - '0');
+        ++p;
+    }
+    *out = negative ? -value : value;
+    cost.bytes += static_cast<std::uint64_t>(p - start);
+    ++cost.intValues;
+    return p;
+}
 
 /**
  * Parse one decimal floating-point number (optional sign, fraction and

@@ -103,6 +103,7 @@ StreamingScanner::pull()
     if (_pos > 0) {
         _buf.erase(_buf.begin(),
                    _buf.begin() + static_cast<std::ptrdiff_t>(_pos));
+        _complete = _complete > _pos ? _complete - _pos : 0;
         _pos = 0;
     }
     const std::size_t old = _buf.size();
@@ -115,6 +116,12 @@ StreamingScanner::pull()
         if (_finalized)
             _exhausted = true;
         return false;
+    }
+    for (std::size_t i = old + got; i > old; --i) {
+        if (isSeparator(_buf[i - 1])) {
+            _complete = i;
+            break;
+        }
     }
     return true;
 }
@@ -129,12 +136,10 @@ StreamingScanner::ensureToken()
             ++_cost.bytes;
         }
         if (_pos < _buf.size()) {
-            // A token starts here; make sure it ends inside the buffer
-            // (or the stream is exhausted, so it ends at buffer end).
-            std::size_t i = _pos;
-            while (i < _buf.size() && !isSeparator(_buf[i]))
-                ++i;
-            if (i < _buf.size() || _exhausted)
+            // A token starts here; it is complete if a separator
+            // follows it in the buffer (or the stream is exhausted, so
+            // it ends at buffer end).
+            if (_pos < _complete || _exhausted)
                 return true;
             if (!pull()) {
                 // Stream truly ended: the trailing token is complete.
@@ -150,7 +155,7 @@ StreamingScanner::ensureToken()
 }
 
 bool
-StreamingScanner::nextInt64(std::int64_t *out)
+StreamingScanner::nextInt64Slow(std::int64_t *out)
 {
     for (;;) {
         if (!ensureToken())

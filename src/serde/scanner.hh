@@ -59,6 +59,10 @@ class TextScanner
  * returns the count (0 at end of stream). Tokens split across refills
  * are handled by carrying the unconsumed tail into the next buffer, so
  * parse results are identical to a contiguous scan of the whole stream.
+ *
+ * Each pull() records where the buffer's last separator ends. Every
+ * token that starts before that point is complete, so checking a
+ * token costs one compare rather than a scan to its end.
  */
 class StreamingScanner
 {
@@ -83,7 +87,28 @@ class StreamingScanner
     /** Incremental mode: declare that no further data will arrive. */
     void setEndOfStream() { _finalized = true; }
 
-    bool nextInt64(std::int64_t *out);
+    /**
+     * Parse the next integer token. The common case, a well-formed
+     * token ahead of the last separator, is handled inline; refills,
+     * malformed tokens and the stream's final token go out of line.
+     */
+    bool
+    nextInt64(std::int64_t *out)
+    {
+        const std::uint8_t *base = _buf.data();
+        const std::uint8_t *complete = base + _complete;
+        const std::uint8_t *p = skipSeparators(base + _pos, complete, _cost);
+        if (p < complete) {
+            if (const std::uint8_t *next =
+                    parseInt64(p, complete, out, _cost)) {
+                _pos = static_cast<std::size_t>(next - base);
+                return true;
+            }
+        }
+        _pos = static_cast<std::size_t>(p - base);
+        return nextInt64Slow(out);
+    }
+
     bool nextDouble(double *out);
     bool nextNumber(double *out, bool *is_float);
     bool atEnd();
@@ -94,6 +119,8 @@ class StreamingScanner
     std::uint64_t refills() const { return _refills; }
 
   private:
+    bool nextInt64Slow(std::int64_t *out);
+
     /**
      * Ensure the buffer holds a complete leading token (or the final
      * bytes of the stream). @return false when the stream is exhausted
@@ -108,6 +135,7 @@ class StreamingScanner
     std::vector<std::uint8_t> _buf;
     std::size_t _chunkBytes;
     std::size_t _pos = 0;     // consumed prefix of _buf
+    std::size_t _complete = 0;  // _buf through its last separator
     bool _incremental = false;
     bool _finalized = true;   // non-incremental streams end at refill==0
     bool _exhausted = false;  // no data remains, ever

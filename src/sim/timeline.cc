@@ -1,8 +1,33 @@
 #include "sim/timeline.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace morpheus::sim {
+
+namespace {
+
+/** Spans walked back from the tail before the binary-search fallback. */
+constexpr std::size_t kWalkBack = 64;
+
+}  // namespace
+
+std::size_t
+Timeline::firstAfter(Tick t) const
+{
+    std::size_t i = _busy.size();
+    const std::size_t stop = i > kWalkBack ? i - kWalkBack : 0;
+    while (i > stop && _busy[i - 1].first > t)
+        --i;
+    if (i == stop && i > 0 && _busy[i - 1].first > t) {
+        const auto it = std::upper_bound(
+            _busy.begin(), _busy.begin() + static_cast<std::ptrdiff_t>(i),
+            t, [](Tick v, const auto &span) { return v < span.first; });
+        i = static_cast<std::size_t>(it - _busy.begin());
+    }
+    return i;
+}
 
 Tick
 Timeline::acquire(Tick earliest, Tick duration)
@@ -14,33 +39,31 @@ Timeline::acquire(Tick earliest, Tick duration)
 
     // Candidate start: after any interval covering `earliest`.
     Tick t = earliest;
-    auto it = _busy.upper_bound(t);
-    if (it != _busy.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->second > t)
-            t = prev->second;
-    }
+    std::size_t i = firstAfter(t);
+    if (i > 0 && _busy[i - 1].second > t)
+        t = _busy[i - 1].second;
     // Slide over intervals until a gap of `duration` opens.
-    while (it != _busy.end() && it->first < t + duration) {
-        t = it->second;
-        ++it;
+    while (i < _busy.size() && _busy[i].first < t + duration) {
+        t = _busy[i].second;
+        ++i;
     }
 
-    // Insert [t, t + duration), merging with adjacent spans.
-    Tick start = t;
-    Tick end = t + duration;
-    if (!_busy.empty() && it != _busy.begin()) {
-        const auto prev = std::prev(it);
-        if (prev->second == start) {
-            start = prev->first;
-            it = _busy.erase(prev);
-        }
+    // Insert [t, t + duration) before span i, merging with adjacent
+    // spans.
+    const Tick end = t + duration;
+    const bool join_prev = i > 0 && _busy[i - 1].second == t;
+    const bool join_next = i < _busy.size() && _busy[i].first == end;
+    const auto at = _busy.begin() + static_cast<std::ptrdiff_t>(i);
+    if (join_prev && join_next) {
+        _busy[i - 1].second = _busy[i].second;
+        _busy.erase(at);
+    } else if (join_prev) {
+        _busy[i - 1].second = end;
+    } else if (join_next) {
+        _busy[i].first = t;
+    } else {
+        _busy.insert(at, {t, end});
     }
-    if (it != _busy.end() && it->first == end) {
-        end = it->second;
-        it = _busy.erase(it);
-    }
-    _busy.emplace(start, end);
     return t;
 }
 

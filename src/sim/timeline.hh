@@ -12,16 +12,25 @@
  * logically-concurrent activities (host threads, StorageApp instances)
  * one after another in program order, so a later-walked activity must
  * be able to claim an idle gap that an earlier-walked activity left
- * behind. Interval bookkeeping (an ordered map of busy spans, merged
- * on insert) makes that exact rather than approximate.
+ * behind. Interval bookkeeping (busy spans, merged on insert) makes
+ * that exact rather than approximate.
+ *
+ * The spans live in one sorted vector, searched back from the tail.
+ * Serving traffic reserves close to the tail but not at it. On the
+ * 4-SSD open-loop rate ladder, 74% of reservations land before
+ * freeAt(), ~98% within 64 spans of the tail and none farther back
+ * than 256, while a timeline holds ~3k spans on average and ~23k at
+ * most. A bounded walk back finds the slot in a few cache lines, and
+ * the insert or erase moves only the spans behind it. Reservations
+ * deeper in the history fall back to a binary search.
  */
 
 #ifndef MORPHEUS_SIM_TIMELINE_HH
 #define MORPHEUS_SIM_TIMELINE_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -54,7 +63,7 @@ class Timeline
     /** End of the last reservation (0 when never used). */
     Tick freeAt() const
     {
-        return _busy.empty() ? 0 : _busy.rbegin()->second;
+        return _busy.empty() ? 0 : _busy.back().second;
     }
 
     /** Total busy time accumulated. */
@@ -89,9 +98,12 @@ class Timeline
     }
 
   private:
+    /** Index of the first span starting after @p t. */
+    std::size_t firstAfter(Tick t) const;
+
     std::string _name;
-    /** Busy spans: start -> end, non-overlapping, non-adjacent. */
-    std::map<Tick, Tick> _busy;
+    /** Busy spans (start, end), sorted, non-overlapping, non-adjacent. */
+    std::vector<std::pair<Tick, Tick>> _busy;
     Tick _busyTicks = 0;
     std::uint64_t _ops = 0;
 };

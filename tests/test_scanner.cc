@@ -279,3 +279,119 @@ TEST(ScannerFuzz, StreamingMatchesContiguousOnRandomBytes)
         EXPECT_EQ(got, ref) << "round " << round;
     }
 }
+
+namespace {
+
+/** Everything a scan produced: tokens, kinds and operation counts. */
+struct ScanLog
+{
+    std::vector<double> values;
+    std::vector<bool> isFloat;
+    sd::ParseCost cost;
+};
+
+void
+expectSameScan(const ScanLog &got, const ScanLog &want)
+{
+    EXPECT_EQ(got.values, want.values);
+    EXPECT_EQ(got.isFloat, want.isFloat);
+    EXPECT_EQ(got.cost.bytes, want.cost.bytes);
+    EXPECT_EQ(got.cost.intValues, want.cost.intValues);
+    EXPECT_EQ(got.cost.floatValues, want.cost.floatValues);
+    EXPECT_EQ(got.cost.floatOps, want.cost.floatOps);
+}
+
+/** Drain @p s with nextInt64 (or nextNumber when @p numbers). */
+template <typename Scanner>
+void
+drain(Scanner &s, bool numbers, ScanLog &log)
+{
+    if (numbers) {
+        double v = 0.0;
+        bool f = false;
+        while (s.nextNumber(&v, &f)) {
+            log.values.push_back(v);
+            log.isFloat.push_back(f);
+        }
+    } else {
+        std::int64_t v = 0;
+        while (s.nextInt64(&v))
+            log.values.push_back(static_cast<double>(v));
+    }
+}
+
+ScanLog
+contiguousScan(const std::vector<std::uint8_t> &data, bool numbers)
+{
+    sd::TextScanner s(data.data(), data.size());
+    ScanLog log;
+    drain(s, numbers, log);
+    EXPECT_TRUE(s.atEnd());
+    log.cost = s.cost();
+    return log;
+}
+
+/**
+ * Deliver @p data as the incremental chunks [0, a), [a, b), [b, end),
+ * draining the scanner after each one as a StorageApp does, then end
+ * the stream.
+ */
+ScanLog
+chunkedScan(const std::vector<std::uint8_t> &data, std::size_t a,
+            std::size_t b, bool numbers)
+{
+    const std::size_t cuts[] = {0, a, b, data.size()};
+    std::size_t chunk = 0;
+    bool ready = false;
+    sd::StreamingScanner s(
+        [&](std::uint8_t *dst, std::size_t cap) -> std::size_t {
+            if (!ready)
+                return 0;
+            ready = false;
+            const std::size_t n = cuts[chunk + 1] - cuts[chunk];
+            EXPECT_LE(n, cap);
+            std::copy(data.begin() + cuts[chunk],
+                      data.begin() + cuts[chunk + 1], dst);
+            return n;
+        },
+        256, /*incremental=*/true);
+    ScanLog log;
+    for (chunk = 0; chunk < 3; ++chunk) {
+        ready = true;
+        drain(s, numbers, log);
+    }
+    s.setEndOfStream();
+    drain(s, numbers, log);
+    EXPECT_TRUE(s.atEnd());
+    log.cost = s.cost();
+    return log;
+}
+
+}  // namespace
+
+TEST(StreamingScanner, EverySplitMatchesContiguousScan)
+{
+    // Signs, lone signs, malformed and half-numeric tokens, every
+    // separator kind, runs of separators and NUL block padding. Every
+    // pair of cut points puts chunk edges inside tokens, inside
+    // separator runs and on both sides of each.
+    const std::string text = std::string(" -12 +7\t- + 3x 4-5 abc,,\n") +
+                             "9 -0 +x 00042\r\n12.5 -3e2 .7 1e x9 " +
+                             std::string(3, '\0') + "-8 77" +
+                             std::string(5, '\0');
+    const auto data = bytes(text);
+    for (const bool numbers : {false, true}) {
+        const ScanLog want = contiguousScan(data, numbers);
+        ASSERT_FALSE(want.values.empty());
+        for (std::size_t a = 0; a <= data.size(); ++a) {
+            for (std::size_t b = a; b <= data.size(); ++b) {
+                SCOPED_TRACE("cuts " + std::to_string(a) + "," +
+                             std::to_string(b) +
+                             (numbers ? " nextNumber" : " nextInt64"));
+                expectSameScan(chunkedScan(data, a, b, numbers), want);
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+        }
+    }
+}

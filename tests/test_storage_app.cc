@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "core/standard_apps.hh"
 #include "workloads/generators.hh"
@@ -98,6 +99,159 @@ TEST(MsChunkContext, RawReadsForWritePath)
     ASSERT_TRUE(ctx.msReadValue(&v));
     EXPECT_EQ(v, b);
     EXPECT_FALSE(ctx.msReadValue(&v));
+}
+
+namespace {
+
+/**
+ * Reference staging: a growable buffer that is appended per emit and
+ * cut from the front at every threshold crossing. MsChunkContext must
+ * produce the same segments, byte for byte.
+ */
+struct RefStaging
+{
+    std::size_t threshold;
+    std::vector<std::uint8_t> staging;
+    std::vector<std::vector<std::uint8_t>> flushes;
+
+    void
+    emit(const std::uint8_t *p, std::size_t n)
+    {
+        staging.insert(staging.end(), p, p + n);
+        while (staging.size() >= threshold) {
+            flushes.emplace_back(staging.begin(),
+                                 staging.begin() +
+                                     static_cast<std::ptrdiff_t>(threshold));
+            staging.erase(staging.begin(),
+                          staging.begin() +
+                              static_cast<std::ptrdiff_t>(threshold));
+        }
+    }
+
+    void
+    flushResidual()
+    {
+        if (!staging.empty())
+            flushes.push_back(std::exchange(staging, {}));
+    }
+};
+
+/** Distinct bytes per emit, so misplaced segments cannot compare equal. */
+std::vector<std::uint8_t>
+pattern(std::size_t n, std::uint8_t seed)
+{
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>(seed * 31 + i);
+    return v;
+}
+
+}  // namespace
+
+TEST(MsChunkContext, EmitStraddlingThresholdCutsExactSegments)
+{
+    co::MsChunkContext ctx(256, 16, 0);
+    const auto a = pattern(12, 1);
+    const auto b = pattern(12, 2);
+    ctx.msEmit(a.data(), a.size());
+    EXPECT_EQ(ctx.dsramUse(), 12u);
+    ctx.msEmit(b.data(), b.size());  // 24 staged: one segment, 8 left
+    EXPECT_EQ(ctx.dsramUse(), 8u);
+    const auto segs = ctx.takeFlushes();
+    ASSERT_EQ(segs.size(), 1u);
+    std::vector<std::uint8_t> want(a);
+    want.insert(want.end(), b.begin(), b.begin() + 4);
+    EXPECT_EQ(segs[0], want);
+    ctx.flushResidual();
+    const auto rest = ctx.takeFlushes();
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0], std::vector<std::uint8_t>(b.begin() + 4, b.end()));
+    EXPECT_EQ(ctx.dsramUse(), 0u);
+}
+
+TEST(MsChunkContext, OneEmitSpanningSeveralThresholds)
+{
+    co::MsChunkContext ctx(256, 16, 0);
+    const auto head = pattern(5, 3);
+    const auto big = pattern(60, 4);
+    ctx.msEmit(head.data(), head.size());
+    ctx.msEmit(big.data(), big.size());  // 65 staged: 4 segments, 1 left
+    EXPECT_EQ(ctx.dsramUse(), 1u);
+    const auto segs = ctx.takeFlushes();
+    ASSERT_EQ(segs.size(), 4u);
+    std::vector<std::uint8_t> all(head);
+    all.insert(all.end(), big.begin(), big.end());
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+        EXPECT_EQ(segs[i],
+                  std::vector<std::uint8_t>(all.begin() + 16 * i,
+                                            all.begin() + 16 * (i + 1)));
+    }
+    EXPECT_EQ(ctx.bytesEmitted(), 65u);
+}
+
+TEST(MsChunkContext, AbortDropsStagingAndPendingSegments)
+{
+    co::MsChunkContext ctx(256, 16, 0);
+    const auto a = pattern(20, 5);
+    ctx.msEmit(a.data(), a.size());
+    ASSERT_EQ(ctx.dsramUse(), 4u);
+    ctx.abortCommand();
+    EXPECT_EQ(ctx.dsramUse(), 0u);
+    EXPECT_TRUE(ctx.takeFlushes().empty());
+    // Staging restarts empty: the next segment holds only new bytes.
+    const auto b = pattern(16, 6);
+    ctx.msEmit(b.data(), b.size());
+    const auto segs = ctx.takeFlushes();
+    ASSERT_EQ(segs.size(), 1u);
+    EXPECT_EQ(segs[0], b);
+    ctx.flushResidual();
+    EXPECT_TRUE(ctx.takeFlushes().empty());  // nothing residual
+}
+
+TEST(MsChunkContext, RandomEmitsMatchReferenceStaging)
+{
+    // Random emit sizes (zero, below, across and several times the
+    // threshold), interleaved drains, residual flushes and aborts.
+    morpheus::sim::Rng rng(4242);
+    for (const std::uint32_t threshold : {1u, 7u, 64u, 1000u}) {
+        co::MsChunkContext ctx(4096, threshold, 0);
+        RefStaging ref{threshold, {}, {}};
+        std::vector<std::vector<std::uint8_t>> got;
+        for (int op = 0; op < 3000; ++op) {
+            const std::uint64_t kind = rng.nextBelow(100);
+            if (kind < 80) {
+                const std::size_t n = kind < 8   ? 0
+                                      : kind < 70 ? rng.nextBelow(16)
+                                                  : rng.nextBelow(2500);
+                const auto v = pattern(n, static_cast<std::uint8_t>(op));
+                ctx.msEmit(v.data(), n);
+                ref.emit(v.data(), n);
+            } else if (kind < 90) {
+                for (auto &seg : ctx.takeFlushes())
+                    got.push_back(std::move(seg));
+            } else if (kind < 97) {
+                ctx.flushResidual();
+                ref.flushResidual();
+            } else {
+                // Abort drops undrained segments on both sides.
+                ctx.abortCommand();
+                ref.flushes.resize(got.size());
+                ref.staging.clear();
+            }
+            ASSERT_EQ(ctx.dsramUse(), ref.staging.size());
+        }
+        for (auto &seg : ctx.takeFlushes())
+            got.push_back(std::move(seg));
+        EXPECT_EQ(got, ref.flushes) << "threshold " << threshold;
+    }
+}
+
+TEST(MsChunkContextDeath, EmitPastDsramPanics)
+{
+    co::MsChunkContext ctx(64, 64, 0);
+    const auto a = pattern(40, 7);
+    ctx.msEmit(a.data(), a.size());
+    EXPECT_DEATH(ctx.msEmit(a.data(), a.size()), "exceeds D-SRAM");
 }
 
 TEST(StandardApps, EdgeListAppEmitsExactBinaryLayout)
