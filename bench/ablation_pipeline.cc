@@ -16,7 +16,7 @@
  *    and >= 10% on a parse-bound mix (soft-float app on the default
  *    8-channel array);
  *  - pipeline-off is bit-deterministic (two runs, identical ticks) —
- *    the off path is the untouched serial code every figure uses;
+ *    the off path is the serial configuration every figure uses;
  *  - checksums match between pipeline-on and pipeline-off runs.
  */
 

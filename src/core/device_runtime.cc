@@ -9,6 +9,31 @@
 
 namespace morpheus::core {
 
+namespace {
+
+/** Instance::expectedByteOff before the first chunk pins the stream. */
+constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
+
+/** The serial fetch: SsdController::fetchToDram() as a PagedFetch
+ *  whose every page is ready at the tick its one DRAM transfer drains. */
+ssd::PagedFetch
+wholeChunkFetch(ssd::SsdController &ssd, std::uint64_t byte_off,
+                std::uint64_t len, sim::Tick start)
+{
+    ssd::PagedFetch fetch;
+    const sim::Tick fetched =
+        ssd.fetchToDram(byte_off, len, start, &fetch.mediaError);
+    const std::uint32_t page_bytes = ssd.ftl().pageBytes();
+    fetch.firstPage = byte_off / page_bytes;
+    fetch.pageReady.assign(
+        (byte_off + len - 1) / page_bytes - fetch.firstPage + 1, fetched);
+    fetch.firstReady = fetched;
+    fetch.allReady = fetched;
+    return fetch;
+}
+
+}  // namespace
+
 MorpheusDeviceRuntime::MorpheusDeviceRuntime(ssd::SsdController &ssd)
     : _ssd(ssd)
 {
@@ -208,6 +233,26 @@ MorpheusDeviceRuntime::doMInit(const nvme::Command &cmd, sim::Tick start)
 }
 
 sim::Tick
+MorpheusDeviceRuntime::deliver(Instance &inst,
+                               const std::vector<std::uint8_t> &bytes,
+                               sim::Tick buffered)
+{
+    const sim::Tick dma = _ssd.fabric().dmaWriteData(
+        _ssd.port(), inst.dmaCursor, bytes.data(), bytes.size(), buffered);
+    // Transient outbound faults are replayed by the device (the data
+    // was already delivered functionally, so an exhausted retry bound
+    // only costs time — never a double delivery).
+    bool dma_failed = false;
+    const sim::Tick done = _ssd.retryOutboundDma(inst.dmaCursor,
+                                                 bytes.size(), dma,
+                                                 &dma_failed);
+    inst.dmaCursor += bytes.size();
+    _objectBytes += bytes.size();
+    _delivered[inst.id] += bytes.size();
+    return done;
+}
+
+sim::Tick
 MorpheusDeviceRuntime::drainFlushes(
     Instance &inst, std::vector<std::vector<std::uint8_t>> segments,
     sim::Tick earliest, obs::TraceId trace)
@@ -218,32 +263,12 @@ MorpheusDeviceRuntime::drainFlushes(
         // PCIe to the instance's DMA target.
         const sim::Tick buffered =
             _ssd.dramTransfer(seg.size(), earliest);
-        sim::Tick dma = _ssd.fabric().dmaWriteData(
-            _ssd.port(), inst.dmaCursor, seg.data(), seg.size(),
-            buffered);
-        // Transient outbound faults are replayed by the device (the
-        // data was already delivered functionally, so an exhausted
-        // retry bound only costs time — never a double delivery).
-        bool dma_failed = false;
-        dma = _ssd.retryOutboundDma(inst.dmaCursor, seg.size(), dma,
-                                    &dma_failed);
+        const sim::Tick dma = deliver(inst, seg, buffered);
         if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _ssd.trackPrefix() + "ssd.dma";
-            s.name = "flush_dma";
-            s.category = "ssd";
-            s.begin = buffered;
-            s.end = dma;
-            s.trace = trace;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            s.bytes = seg.size();
-            sink->record(s);
+            obs::recordSpan(*sink, _ssd.trackPrefix() + "ssd.dma",
+                            "flush_dma", "ssd", buffered, dma,
+                            inst.span(trace, seg.size()));
         }
-        inst.dmaCursor += seg.size();
-        _objectBytes += seg.size();
-        _delivered[inst.id] += seg.size();
         // Candidate for the object cache: the payload is accumulated
         // in DMA order, so on a clean full-stream MDEINIT it is the
         // exact byte sequence a later hit must replay.
@@ -287,31 +312,22 @@ MorpheusDeviceRuntime::maybeMigrate(Instance &inst, sim::Tick now,
     // between the two cores through controller DRAM.
     const std::uint64_t state_bytes = inst.ctx->dsramUse();
     const sim::Tick state_moved = _ssd.dramTransfer(state_bytes, now);
+    inst.coreId = to.id();
     if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = _ssd.trackPrefix() + "ssd.dram";
-        s.name = "dsram_move";
-        s.category = "ssd";
-        s.begin = now;
-        s.end = state_moved;
-        s.trace = trace;
-        s.tenant = inst.tenant;
-        s.instance = inst.id;
-        s.core = to.id();
-        s.bytes = state_bytes;
-        sink->record(s);
+        obs::recordSpan(*sink, _ssd.trackPrefix() + "ssd.dram",
+                        "dsram_move", "ssd", now, state_moved,
+                        inst.span(trace, state_bytes));
     }
     to.execute(static_cast<double>(inst.codeBytes) * 0.5 +
                    _ssd.config().sched.migrationCycles,
                state_moved, "isram_reload",
-               {trace, inst.tenant, inst.id, inst.codeBytes});
-    inst.coreId = to.id();
-    if (inst.readahead.valid) {
+               inst.span(trace, inst.codeBytes));
+    if (inst.readahead) {
         // The readahead buffer is owned by the firmware context that
         // just moved: drop it rather than carry per-core prefetch
         // state across the migration. It holds only schedule state, so
         // the next chunk simply pays a fresh (fully charged) fetch.
-        inst.readahead = Instance::Readahead{};
+        inst.readahead.reset();
         ++_readaheadDropped;
     }
 }
@@ -326,7 +342,6 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
     Instance &inst = it->second;
     if (inst.poisoned)
         return {start, nvme::Status::kAppFault, 0};
-    maybeMigrate(inst, start, cmd.traceId);
 
     const std::uint64_t byte_off = cmd.slba * nvme::kBlockBytes;
     const std::uint64_t valid =
@@ -339,7 +354,6 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
     // the stateful parser across a gap, so bounce them (retryable)
     // until the missing chunk is resubmitted. The first chunk of a
     // stream pins its origin.
-    constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
     if (inst.expectedByteOff != kUnpinned &&
         byte_off != inst.expectedByteOff)
         return {start, nvme::Status::kSequenceError, 0};
@@ -357,80 +371,79 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
         // First chunk pins the stream origin — now the raw range is
         // known and the cache can answer.
         inst.streamOrigin = byte_off;
-        if (inst.declaredStreamBytes > 0) {
-            const ssd::ObjectCache::Entry *hit =
-                cache.lookup(cacheKeyFor(inst));
-            if (hit != nullptr) {
-                // Serve the parsed object straight from controller
-                // DRAM: one pass through the DRAM port and out over
-                // PCIe. No flash fetch, no ParseCost, no core slot.
-                const sim::Tick buffered =
-                    _ssd.dramTransfer(hit->payload.size(), start);
-                sim::Tick dma = _ssd.fabric().dmaWriteData(
-                    _ssd.port(), inst.dmaCursor, hit->payload.data(),
-                    hit->payload.size(), buffered);
-                bool dma_failed = false;
-                dma = _ssd.retryOutboundDma(inst.dmaCursor,
-                                            hit->payload.size(), dma,
-                                            &dma_failed);
-                if (auto *sink = obs::traceSink()) {
-                    obs::Span s;
-                    s.track = _ssd.trackPrefix() + "ssd.dma";
-                    s.name = "cache_hit";
-                    s.category = "ssd";
-                    s.begin = start;
-                    s.end = dma;
-                    s.trace = cmd.traceId;
-                    s.tenant = inst.tenant;
-                    s.instance = inst.id;
-                    s.core = inst.coreId;
-                    s.bytes = hit->payload.size();
-                    sink->record(s);
-                }
-                inst.dmaCursor += hit->payload.size();
-                _objectBytes += hit->payload.size();
-                _delivered[inst.id] += hit->payload.size();
-                inst.cacheServed = true;
-                inst.cachedReturnValue = hit->returnValue;
-                _cacheServed[inst.id] = true;
-                inst.expectedByteOff = byte_off + valid;
-                return {dma, nvme::Status::kSuccess, 0};
+        const ssd::ObjectCache::Entry *hit =
+            inst.declaredStreamBytes > 0 ? cache.lookup(cacheKeyFor(inst))
+                                         : nullptr;
+        if (hit != nullptr) {
+            // Serve the parsed object straight from controller DRAM:
+            // one pass through the DRAM port and out over PCIe. No
+            // flash fetch, no ParseCost, no core slot.
+            const sim::Tick dma = deliver(
+                inst, hit->payload,
+                _ssd.dramTransfer(hit->payload.size(), start));
+            if (auto *sink = obs::traceSink()) {
+                obs::recordSpan(*sink, _ssd.trackPrefix() + "ssd.dma",
+                                "cache_hit", "ssd", start, dma,
+                                inst.span(cmd.traceId,
+                                          hit->payload.size()));
             }
+            inst.cacheServed = true;
+            inst.cachedReturnValue = hit->returnValue;
+            _cacheServed[inst.id] = true;
+            inst.expectedByteOff = byte_off + valid;
+            return {dma, nvme::Status::kSuccess, 0};
         }
     }
+    // Only a chunk that goes on to fetch and parse may move the
+    // instance: a bounced or cache-replayed chunk touches no core.
+    maybeMigrate(inst, start, cmd.traceId);
     _rawBytesIn += valid;
 
-    if (_ssd.config().pipeline.enabled)
-        return mreadPipelined(inst, cmd, byte_off, valid, start);
+    // One ms_stream per chunk: fetch, parse in sub-buffers, flush. With
+    // the pipeline off every stage runs in its degenerate, serial
+    // configuration (see the declaration).
+    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
+    const std::uint32_t page_bytes = _ssd.ftl().pageBytes();
 
-    // Flash -> controller DRAM (timed), then the embedded core parses
-    // the chunk out of D-SRAM.
-    bool media = false;
-    const sim::Tick fetched =
-        _ssd.fetchToDram(byte_off, valid, start, &media);
-    if (media) {
+    // Stage 1 — fetch. The readahead buffer satisfies the chunk when
+    // the prefetch covered this exact origin cleanly; it is consumed
+    // either way, and a poisoned or mismatched prefetch is discarded
+    // (never fed to the parser) in favor of a fresh, fully charged
+    // fetch — which keeps a host resubmission after any failure exact.
+    std::optional<Instance::Readahead> ra =
+        std::exchange(inst.readahead, std::nullopt);
+    const bool readahead_hit = ra && !ra->fetch.mediaError &&
+                               ra->byteOff == byte_off && ra->len >= valid;
+    ssd::PagedFetch fetch;
+    if (readahead_hit) {
+        fetch = std::move(ra->fetch);
+        ++_readaheadHits;
+    } else {
+        if (ra)
+            ++(ra->fetch.mediaError ? _readaheadMediaDiscards
+                                    : _readaheadDropped);
+        fetch = pl.enabled ? _ssd.fetchToDramPaged(byte_off, valid, start)
+                           : wholeChunkFetch(_ssd, byte_off, valid, start);
+    }
+    const sim::Tick all_ready = std::max(start, fetch.allReady);
+    if (fetch.mediaError) {
         // Uncorrectable flash page: the access time was charged but the
         // chunk never reaches the parser, so a host resubmission of the
         // same command is exact (read-retry recoverable). Pin the
         // stream cursor to this chunk so nothing can slip past it.
         inst.expectedByteOff = byte_off;
         if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _ssd.trackPrefix() + "ssd.firmware";
-            s.name = "media_error";
-            s.category = "ssd";
-            s.begin = fetched;
-            s.end = fetched;
-            s.instant = true;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            s.status =
-                static_cast<std::uint32_t>(nvme::Status::kMediaError);
-            sink->record(s);
+            obs::SpanCtx ctx = inst.span(cmd.traceId);
+            ctx.status = static_cast<std::uint32_t>(nvme::Status::kMediaError);
+            obs::recordInstant(*sink, _ssd.trackPrefix() + "ssd.firmware",
+                               "media_error", "ssd", all_ready, ctx);
         }
-        return {fetched, nvme::Status::kMediaError, 0};
+        return {all_ready, nvme::Status::kMediaError, 0};
+    }
+    if (auto *sink = obs::traceSink()) {
+        obs::recordSpan(*sink, _ssd.trackPrefix() + "ssd.dram",
+                        readahead_hit ? "fetch_readahead" : "fetch", "ssd",
+                        start, all_ready, inst.span(cmd.traceId, valid));
     }
     std::vector<std::uint8_t> chunk = _ssd.peekBytes(byte_off, valid);
 
@@ -443,353 +456,156 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
         app_hang = fi->appHang();
         app_crash = fi->appCrash();
     }
-    ssd::EmbeddedCore *core_ptr = &_ssd.core(inst.coreId);
+    ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
     if (app_hang) {
-        // The app spins forever; the controller watchdog reclaims the
-        // core at its deadline and force-kills the instance. No CQE is
+        // The app is dispatched when the chunk's first page is buffered
+        // and spins forever; the controller watchdog reclaims the core
+        // at its deadline and force-kills the instance. No CQE is
         // posted (the host's command timeout covers discovery).
         auto *fi = sim::faultInjector();
+        const sim::Tick dispatched = std::max(start, fetch.firstReady);
         const sim::Tick deadline =
-            core_ptr->seize(fetched, fi->plan().watchdogTicks);
+            core.seize(dispatched, fi->plan().watchdogTicks);
         if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = core_ptr->timeline().name();
-            s.name = "hang";
-            s.category = "ssd";
-            s.begin = fetched;
-            s.end = deadline;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            sink->record(s);
-            obs::Span k;
-            k.track = _ssd.trackPrefix() + "ssd.firmware";
-            k.name = "watchdog_kill";
-            k.category = "ssd";
-            k.begin = deadline;
-            k.end = deadline;
-            k.instant = true;
-            k.trace = cmd.traceId;
-            k.tenant = inst.tenant;
-            k.instance = inst.id;
-            sink->record(k);
+            obs::recordSpan(*sink, core.timeline().name(), "hang", "ssd",
+                            dispatched, deadline, inst.span(cmd.traceId));
+            obs::recordInstant(*sink, _ssd.trackPrefix() + "ssd.firmware",
+                               "watchdog_kill", "ssd", deadline,
+                               {cmd.traceId, inst.tenant, inst.id});
         }
+        // Watchdog force-kill: release the instance's I-SRAM and D-SRAM
+        // and, since it never reaches MDEINIT, its scheduler slot and
+        // placement too; the host's MDEINIT-and-reinstall sees
+        // kNoSuchInstance and starts clean.
         fi->noteWatchdogKill();
-        watchdogKill(cmd.instanceId);
+        eraseInstance(it);
+        _ssd.scheduler().arbiter().dropInstance(cmd.instanceId);
+        _ssd.scheduler().dispatcher().releaseInstance(cmd.instanceId);
         return {deadline, nvme::Status::kAppFault, 0,
                 /*dropped=*/true};
     }
     inst.expectedByteOff = byte_off + valid;
-    inst.ctx->feedChunk(std::move(chunk));
-    if (app_crash) {
-        // The app dies mid-parse: drop the partial staging and charge
-        // the aborted work to this command (same symmetry as the
-        // MWRITE refusal path), then poison the instance so every
-        // later data command bounces until the host reinstalls it.
+
+    // Stage 2 — parse. Pipelined, sub-buffers are sized from the
+    // instance's partitioned grant (two in-flight sub-buffers plus the
+    // staging/carry share it, hence the quarter), so parse(sub_i)
+    // starts at sub_i's last page arrival instead of the chunk's.
+    // ParseCost is linear, so the per-sub-buffer deltas sum to the
+    // single-buffer total and cost accounting is unchanged.
+    const std::uint32_t dsram = inst.dsramGranted
+                                    ? inst.dsramGranted
+                                    : core.config().dsramBytes;
+    const std::uint64_t sub_bytes =
+        pl.enabled ? std::max<std::uint64_t>(page_bytes, dsram / 4) : valid;
+
+    sim::Tick parsed = start;
+    sim::Tick dma_done = start;
+    for (std::uint64_t pos = 0; pos < valid;) {
+        const std::uint64_t take = std::min(sub_bytes, valid - pos);
+        // The sub-buffer is buffered in controller DRAM when its last
+        // page is (pageReady is non-decreasing). Readahead ticks may
+        // lie before the command's arrival — the pages are simply
+        // already resident.
+        const sim::Tick ready = std::max(
+            start, fetch.pageReady[(byte_off + pos + take - 1) / page_bytes -
+                                   fetch.firstPage]);
+        if (take == valid) {
+            inst.ctx->feedChunk(std::move(chunk));
+        } else {
+            inst.ctx->feedChunk(std::vector<std::uint8_t>(
+                chunk.begin() + static_cast<std::ptrdiff_t>(pos),
+                chunk.begin() + static_cast<std::ptrdiff_t>(pos + take)));
+        }
+        if (app_crash) {
+            // The app dies in its first sub-buffer: drop the partial
+            // staging, charge the aborted work to this command once
+            // (same symmetry as the MWRITE refusal path), then poison
+            // the instance so every later data command bounces until
+            // the host reinstalls it.
+            inst.app->processChunk(*inst.ctx);
+            const serde::ParseCost aborted = inst.ctx->abortCommand();
+            const sim::Tick done = core.execute(
+                core.config().parseCycles(aborted) +
+                    core.config().cyclesPerCommand,
+                std::max(ready, parsed), "crash",
+                inst.span(cmd.traceId, take));
+            inst.poisoned = true;
+            return {done, nvme::Status::kAppFault, 0};
+        }
         inst.app->processChunk(*inst.ctx);
-        const serde::ParseCost aborted = inst.ctx->abortCommand();
-        const sim::Tick done = core_ptr->execute(
-            core_ptr->config().parseCycles(aborted) +
-                core_ptr->config().cyclesPerCommand,
-            fetched, "crash",
-            {cmd.traceId, inst.tenant, inst.id, valid});
-        inst.poisoned = true;
-        return {done, nvme::Status::kAppFault, 0};
+        const serde::ParseCost delta = inst.ctx->takeCostDelta();
+        auto flushes = takeFlushes(inst);
+        const double cycles =
+            core.config().parseCycles(delta) +
+            (pos == 0 ? core.config().cyclesPerCommand : 0.0) +
+            core.config().cyclesPerFlush *
+                static_cast<double>(flushes.size());
+        // max(ready, parsed): the parse is a sequential stream, so
+        // sub_i may not start before sub_{i-1} finished even when its
+        // data landed earlier. A pushdown instance's core work is
+        // predicate/projection evaluation, not a parse — name it so
+        // stage breakdowns separate scan (core) from emit (flush_dma).
+        parsed = core.execute(cycles, std::max(ready, parsed),
+                              inst.pushdownDigest ? "scan" : "parse",
+                              inst.span(cmd.traceId, take));
+        // Stage 3 — sub_i's flush DMA proceeds while sub_{i+1}
+        // parses; only the command completion waits for the last DMA.
+        dma_done = std::max(dma_done,
+                            drainFlushes(inst, std::move(flushes),
+                                         parsed, cmd.traceId));
+        if (pl.enabled)
+            ++_subBuffersParsed;
+        pos += take;
     }
-    inst.app->processChunk(*inst.ctx);
     ++inst.chunksProcessed;
 
-    ssd::EmbeddedCore &core = *core_ptr;
-    const serde::ParseCost delta = inst.ctx->takeCostDelta();
-    auto flushes = inst.ctx->takeFlushes();
-    const double cycles =
-        core.config().parseCycles(delta) +
-        core.config().cyclesPerCommand +
-        core.config().cyclesPerFlush *
-            static_cast<double>(flushes.size());
-    // A pushdown instance's core work is predicate/projection
-    // evaluation, not a parse — name it so stage breakdowns separate
-    // scan (core) from emit (flush_dma).
-    const sim::Tick parsed = core.execute(
-        cycles, fetched, inst.pushdownDigest ? "scan" : "parse",
-        {cmd.traceId, inst.tenant, inst.id, valid});
-
-    // Ship whatever ms_memcpy flushed during this chunk.
-    const sim::Tick done =
-        drainFlushes(inst, std::move(flushes), parsed, cmd.traceId);
-    return {done, nvme::Status::kSuccess, 0};
+    // Prefetch the next chunk's pages into the bounded controller-DRAM
+    // readahead buffer, clamped to device capacity. Issued at this
+    // command's start: the die/channel timelines queue the prefetch
+    // behind this chunk's own reads wherever they contend, so it
+    // streams in under the parse that is still running and never
+    // delays data a deeper queue would have fetched on its own.
+    const std::uint64_t next = byte_off + valid;
+    const std::uint64_t capacity =
+        _ssd.ftl().logicalPages() * static_cast<std::uint64_t>(page_bytes);
+    if (pl.enabled && next < capacity) {
+        const std::uint64_t len =
+            std::min({valid, pl.readaheadBufferBytes, capacity - next});
+        if (len > 0) {
+            inst.readahead = Instance::Readahead{
+                next, len, _ssd.fetchToDramPaged(next, len, start)};
+            if (auto *sink = obs::traceSink()) {
+                obs::recordSpan(*sink, _ssd.trackPrefix() + "ssd.dram",
+                                "readahead", "ssd", start,
+                                inst.readahead->fetch.allReady,
+                                inst.span(cmd.traceId, len));
+            }
+            ++_readaheadIssued;
+        }
+    }
+    return {std::max(parsed, dma_done), nvme::Status::kSuccess, 0};
 }
 
 std::vector<std::vector<std::uint8_t>>
-MorpheusDeviceRuntime::coalesceSegments(
-    std::vector<std::vector<std::uint8_t>> segments,
-    std::uint64_t max_bytes)
+MorpheusDeviceRuntime::takeFlushes(Instance &inst)
 {
+    auto segments = inst.ctx->takeFlushes();
+    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
+    if (!pl.enabled)
+        return segments;
     std::vector<std::vector<std::uint8_t>> merged;
     merged.reserve(segments.size());
     for (auto &seg : segments) {
         if (!merged.empty() &&
-            merged.back().size() + seg.size() <= max_bytes) {
+            merged.back().size() + seg.size() <= pl.maxDescriptorBytes) {
             merged.back().insert(merged.back().end(), seg.begin(),
                                  seg.end());
         } else {
             merged.push_back(std::move(seg));
         }
     }
+    _flushSegmentsCoalesced += segments.size() - merged.size();
     return merged;
-}
-
-void
-MorpheusDeviceRuntime::issueReadahead(Instance &inst,
-                                      std::uint64_t byte_off,
-                                      std::uint64_t len,
-                                      sim::Tick earliest,
-                                      obs::TraceId trace)
-{
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    const std::uint64_t capacity =
-        _ssd.ftl().logicalPages() *
-        static_cast<std::uint64_t>(_ssd.ftl().pageBytes());
-    if (byte_off >= capacity)
-        return;
-    len = std::min(len, pl.readaheadBufferBytes);
-    len = std::min(len, capacity - byte_off);
-    if (len == 0)
-        return;
-    Instance::Readahead ra;
-    ra.fetch = _ssd.fetchToDramPaged(byte_off, len, earliest);
-    ra.media = ra.fetch.mediaError;
-    ra.byteOff = byte_off;
-    ra.len = len;
-    ra.valid = true;
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = _ssd.trackPrefix() + "ssd.dram";
-        s.name = "readahead";
-        s.category = "ssd";
-        s.begin = earliest;
-        s.end = ra.fetch.allReady;
-        s.trace = trace;
-        s.tenant = inst.tenant;
-        s.instance = inst.id;
-        s.core = inst.coreId;
-        s.bytes = len;
-        sink->record(s);
-    }
-    inst.readahead = std::move(ra);
-    ++_readaheadIssued;
-}
-
-nvme::CommandResult
-MorpheusDeviceRuntime::mreadPipelined(Instance &inst,
-                                      const nvme::Command &cmd,
-                                      std::uint64_t byte_off,
-                                      std::uint64_t valid,
-                                      sim::Tick start)
-{
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    const std::uint32_t page_bytes = _ssd.ftl().pageBytes();
-
-    // Stage 1 — fetch. The readahead buffer satisfies the chunk when
-    // the prefetch covered this exact origin cleanly; it is consumed
-    // either way, and a poisoned or mismatched prefetch is discarded
-    // (never fed to the parser) in favor of a fresh, fully charged
-    // fetch — which keeps a host resubmission after any failure exact.
-    Instance::Readahead ra = std::move(inst.readahead);
-    inst.readahead = Instance::Readahead{};
-    ssd::PagedFetch fetch;
-    bool readahead_hit = false;
-    if (pl.readahead && ra.valid && !ra.media &&
-        ra.byteOff == byte_off && ra.len >= valid) {
-        fetch = std::move(ra.fetch);
-        readahead_hit = true;
-        ++_readaheadHits;
-    } else {
-        if (ra.valid) {
-            if (ra.media)
-                ++_readaheadMediaDiscards;
-            else
-                ++_readaheadDropped;
-        }
-        fetch = _ssd.fetchToDramPaged(byte_off, valid, start);
-    }
-    const sim::Tick all_ready = std::max(start, fetch.allReady);
-    if (fetch.mediaError) {
-        // Same contract as the serial path: time was charged, nothing
-        // reaches the parser, and the stream cursor pins this chunk so
-        // only its exact resubmission is accepted.
-        inst.expectedByteOff = byte_off;
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _ssd.trackPrefix() + "ssd.firmware";
-            s.name = "media_error";
-            s.category = "ssd";
-            s.begin = all_ready;
-            s.end = all_ready;
-            s.instant = true;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            s.status =
-                static_cast<std::uint32_t>(nvme::Status::kMediaError);
-            sink->record(s);
-        }
-        return {all_ready, nvme::Status::kMediaError, 0};
-    }
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = _ssd.trackPrefix() + "ssd.dram";
-        s.name = readahead_hit ? "fetch_readahead" : "fetch";
-        s.category = "ssd";
-        s.begin = start;
-        s.end = all_ready;
-        s.trace = cmd.traceId;
-        s.tenant = inst.tenant;
-        s.instance = inst.id;
-        s.core = inst.coreId;
-        s.bytes = valid;
-        sink->record(s);
-    }
-    std::vector<std::uint8_t> chunk = _ssd.peekBytes(byte_off, valid);
-
-    // Tick the sub-buffer ending at chunk-relative byte @p end_rel is
-    // buffered in controller DRAM (pageReady is non-decreasing, so the
-    // last covered page dominates). Readahead ticks may lie before the
-    // command's arrival — the pages are simply already resident.
-    const auto ready_at = [&](std::uint64_t end_rel) {
-        const std::uint64_t page =
-            (byte_off + end_rel - 1) / page_bytes - fetch.firstPage;
-        return std::max(start, fetch.pageReady[page]);
-    };
-
-    // App-fault injection: same draws as the serial path, so each
-    // schedule depends only on its own event sequence.
-    bool app_hang = false;
-    bool app_crash = false;
-    if (auto *fi = sim::faultInjector()) {
-        app_hang = fi->appHang();
-        app_crash = fi->appCrash();
-    }
-    ssd::EmbeddedCore *core_ptr = &_ssd.core(inst.coreId);
-    if (app_hang) {
-        // The app is dispatched at the first sub-buffer's arrival and
-        // spins; the controller watchdog reclaims the core.
-        auto *fi = sim::faultInjector();
-        const sim::Tick dispatched = std::max(start, fetch.firstReady);
-        const sim::Tick deadline =
-            core_ptr->seize(dispatched, fi->plan().watchdogTicks);
-        if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = core_ptr->timeline().name();
-            s.name = "hang";
-            s.category = "ssd";
-            s.begin = dispatched;
-            s.end = deadline;
-            s.trace = cmd.traceId;
-            s.tenant = inst.tenant;
-            s.instance = inst.id;
-            s.core = inst.coreId;
-            sink->record(s);
-            obs::Span k;
-            k.track = _ssd.trackPrefix() + "ssd.firmware";
-            k.name = "watchdog_kill";
-            k.category = "ssd";
-            k.begin = deadline;
-            k.end = deadline;
-            k.instant = true;
-            k.trace = cmd.traceId;
-            k.tenant = inst.tenant;
-            k.instance = inst.id;
-            sink->record(k);
-        }
-        fi->noteWatchdogKill();
-        watchdogKill(cmd.instanceId);
-        return {deadline, nvme::Status::kAppFault, 0,
-                /*dropped=*/true};
-    }
-    inst.expectedByteOff = byte_off + valid;
-
-    // Stage 2 — double-buffered parse. Sub-buffers are sized from the
-    // instance's partitioned grant (two in-flight sub-buffers plus the
-    // staging/carry share it, hence the quarter), so parse(sub_i)
-    // starts at sub_i's last page arrival instead of the chunk's.
-    // ParseCost is linear, so the per-sub-buffer deltas sum to the
-    // serial path's total and cost accounting is unchanged.
-    const std::uint32_t dsram = inst.dsramGranted
-                                    ? inst.dsramGranted
-                                    : core_ptr->config().dsramBytes;
-    std::uint64_t sub_bytes = valid;
-    if (pl.doubleBuffer)
-        sub_bytes = std::max<std::uint64_t>(page_bytes, dsram / 4);
-
-    sim::Tick parsed = start;
-    sim::Tick dma_done = start;
-    std::uint64_t pos = 0;
-    bool first = true;
-    while (pos < valid) {
-        const std::uint64_t take = std::min(sub_bytes, valid - pos);
-        std::vector<std::uint8_t> sub(
-            chunk.begin() + static_cast<std::ptrdiff_t>(pos),
-            chunk.begin() + static_cast<std::ptrdiff_t>(pos + take));
-        const sim::Tick ready = ready_at(pos + take);
-        inst.ctx->feedChunk(std::move(sub));
-        if (app_crash) {
-            // The app dies in its first sub-buffer: drop the partial
-            // staging, charge the aborted work to this command once,
-            // and poison the instance (serial-path semantics).
-            inst.app->processChunk(*inst.ctx);
-            const serde::ParseCost aborted = inst.ctx->abortCommand();
-            const sim::Tick done = core_ptr->execute(
-                core_ptr->config().parseCycles(aborted) +
-                    core_ptr->config().cyclesPerCommand,
-                std::max(ready, parsed), "crash",
-                {cmd.traceId, inst.tenant, inst.id, take});
-            inst.poisoned = true;
-            return {done, nvme::Status::kAppFault, 0};
-        }
-        inst.app->processChunk(*inst.ctx);
-        const serde::ParseCost delta = inst.ctx->takeCostDelta();
-        auto flushes = inst.ctx->takeFlushes();
-        if (pl.coalesceFlush) {
-            const std::size_t raw = flushes.size();
-            flushes = coalesceSegments(std::move(flushes),
-                                       pl.maxDescriptorBytes);
-            _flushSegmentsCoalesced += raw - flushes.size();
-        }
-        const double cycles =
-            core_ptr->config().parseCycles(delta) +
-            (first ? core_ptr->config().cyclesPerCommand : 0.0) +
-            core_ptr->config().cyclesPerFlush *
-                static_cast<double>(flushes.size());
-        // max(ready, parsed): the parse is a sequential stream, so
-        // sub_i may not start before sub_{i-1} finished even when its
-        // data landed earlier.
-        parsed = core_ptr->execute(
-            cycles, std::max(ready, parsed),
-            inst.pushdownDigest ? "scan" : "parse",
-            {cmd.traceId, inst.tenant, inst.id, take});
-        // Stage 3 — sub_i's flush DMA proceeds while sub_{i+1}
-        // parses; only the command completion waits for the last DMA.
-        dma_done = std::max(dma_done,
-                            drainFlushes(inst, std::move(flushes),
-                                         parsed, cmd.traceId));
-        ++_subBuffersParsed;
-        pos += take;
-        first = false;
-    }
-    ++inst.chunksProcessed;
-
-    // Prefetch the next chunk's pages. Issued at this command's start:
-    // the die/channel timelines queue the prefetch behind this chunk's
-    // own reads wherever they contend, so it streams in under the
-    // parse that is still running and never delays data a deeper queue
-    // would have fetched on its own.
-    if (pl.readahead)
-        issueReadahead(inst, byte_off + valid, valid, start,
-                       cmd.traceId);
-    return {std::max(parsed, dma_done), nvme::Status::kSuccess, 0};
 }
 
 nvme::CommandResult
@@ -849,9 +665,8 @@ MorpheusDeviceRuntime::doMWrite(const nvme::Command &cmd, sim::Tick start)
         static_cast<double>(emitted) *
             core.config().cyclesPerByteScan * 0.5 +
         core.config().cyclesPerCommand;
-    const sim::Tick serialized =
-        core.execute(cycles, fetched, "serialize",
-                     {cmd.traceId, inst.tenant, inst.id, valid});
+    const sim::Tick serialized = core.execute(cycles, fetched, "serialize",
+                                              inst.span(cmd.traceId, valid));
 
     // Serialized text lands on flash at the command's SLBA; successive
     // MWRITEs to the same region append behind it. The cursor is keyed
@@ -865,18 +680,10 @@ MorpheusDeviceRuntime::doMWrite(const nvme::Command &cmd, sim::Tick start)
     }
     inst.ctx->flushResidual();
     sim::Tick done = serialized;
-    auto segments = inst.ctx->takeFlushes();
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    if (pl.enabled && pl.coalesceFlush) {
-        // Stage 3 for the write path: successive segments land behind
-        // each other on flash (the region cursor advances segment by
-        // segment), so merging them saves the page read-modify-write
-        // at every seam.
-        const std::size_t raw = segments.size();
-        segments =
-            coalesceSegments(std::move(segments), pl.maxDescriptorBytes);
-        _flushSegmentsCoalesced += raw - segments.size();
-    }
+    // Pipelined, successive segments are merged: they land behind each
+    // other on flash (the region cursor advances segment by segment),
+    // so merging them saves the page read-modify-write at every seam.
+    auto segments = takeFlushes(inst);
     const std::uint64_t landed_begin =
         inst.writeSlba * nvme::kBlockBytes + inst.writeCursor;
     for (auto &seg : segments) {
@@ -914,13 +721,10 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
         // run over corrupt state) and just tear the instance down so
         // the scheduler frees the slot and the host can reinstall.
         ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
-        const sim::Tick done = core.execute(
-            core.config().cyclesPerCommand, start, "teardown",
-            {cmd.traceId, inst.tenant, inst.id, 0});
-        core.unloadImage(inst.codeBytes);
-        if (inst.dsramGranted)
-            core.releaseDsram(inst.dsramGranted);
-        _instances.erase(it);
+        const sim::Tick done =
+            core.execute(core.config().cyclesPerCommand, start, "teardown",
+                         inst.span(cmd.traceId));
+        eraseInstance(it);
         return {done, nvme::Status::kSuccess, 0};
     }
 
@@ -929,14 +733,9 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
         // byte, so its finish hooks have nothing to run over. Teardown
         // is pure firmware work — no embedded-core occupancy — and the
         // completion carries the return value cached with the object.
-        const sim::Tick done = start + 1 * sim::kPsPerUs;
-        ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
-        core.unloadImage(inst.codeBytes);
-        if (inst.dsramGranted)
-            core.releaseDsram(inst.dsramGranted);
         const std::uint32_t rv = inst.cachedReturnValue;
-        _instances.erase(it);
-        return {done, nvme::Status::kSuccess, rv};
+        eraseInstance(it);
+        return {start + 1 * sim::kPsPerUs, nvme::Status::kSuccess, rv};
     }
 
     // The stream is over: let the app consume any carried final token,
@@ -948,21 +747,13 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
 
     ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
     const serde::ParseCost delta = inst.ctx->takeCostDelta();
-    auto flushes = inst.ctx->takeFlushes();
-    const ssd::PipelineConfig &pl = _ssd.config().pipeline;
-    if (pl.enabled && pl.coalesceFlush) {
-        const std::size_t raw = flushes.size();
-        flushes =
-            coalesceSegments(std::move(flushes), pl.maxDescriptorBytes);
-        _flushSegmentsCoalesced += raw - flushes.size();
-    }
+    auto flushes = takeFlushes(inst);
     const sim::Tick parsed = core.execute(
         core.config().parseCycles(delta) +
             core.config().cyclesPerCommand +
             core.config().cyclesPerFlush *
                 static_cast<double>(flushes.size()),
-        start, "final_parse",
-        {cmd.traceId, inst.tenant, inst.id, 0});
+        start, "final_parse", inst.span(cmd.traceId));
     const sim::Tick done =
         drainFlushes(inst, std::move(flushes), parsed, cmd.traceId);
 
@@ -973,7 +764,6 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
     // watchdog-killed, serializing (MWRITE), or short streams never
     // insert — a partial object must not be replayable.
     ssd::ObjectCache &cache = _ssd.objectCache();
-    constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
     if (cache.enabled() && inst.cacheable &&
         inst.streamOrigin != kUnpinned && inst.declaredStreamBytes > 0 &&
         inst.expectedByteOff ==
@@ -982,29 +772,19 @@ MorpheusDeviceRuntime::doMDeinit(const nvme::Command &cmd,
                      rv);
     }
 
-    core.unloadImage(inst.codeBytes);
-    if (inst.dsramGranted)
-        core.releaseDsram(inst.dsramGranted);
-    _instances.erase(it);
+    eraseInstance(it);
     return {done, nvme::Status::kSuccess, rv};
 }
 
 void
-MorpheusDeviceRuntime::watchdogKill(std::uint32_t instance_id)
+MorpheusDeviceRuntime::eraseInstance(InstanceTable::iterator it)
 {
-    const auto it = _instances.find(instance_id);
-    if (it == _instances.end())
-        return;
-    Instance &inst = it->second;
+    const Instance &inst = it->second;
     ssd::EmbeddedCore &core = _ssd.core(inst.coreId);
     core.unloadImage(inst.codeBytes);
     if (inst.dsramGranted)
         core.releaseDsram(inst.dsramGranted);
     _instances.erase(it);
-    // The instance never reaches MDEINIT, so reclaim its scheduler
-    // slot and placement here; the host's reinstall starts clean.
-    _ssd.scheduler().arbiter().dropInstance(instance_id);
-    _ssd.scheduler().dispatcher().releaseInstance(instance_id);
 }
 
 void

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -187,62 +188,52 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
          * next chunk's prefetched flash pages. Pure schedule state —
          * functional bytes always come from peekBytes at MREAD time,
          * so discarding the buffer only costs a re-fetch. A prefetch
-         * that drew an uncorrectable page is marked `media` and is
+         * that drew an uncorrectable page (fetch.mediaError) is
          * discarded on use, never fed to the parser.
          */
         struct Readahead
         {
-            bool valid = false;
-            bool media = false;
             std::uint64_t byteOff = 0;
             std::uint64_t len = 0;
             ssd::PagedFetch fetch;
         };
-        Readahead readahead;
+        std::optional<Readahead> readahead;
+
+        /** Span attribution for work done on this instance's behalf. */
+        obs::SpanCtx span(obs::TraceId trace, std::uint64_t bytes = 0) const
+        {
+            return {trace, tenant, id, bytes, coreId};
+        }
     };
+    using InstanceTable = std::unordered_map<std::uint32_t, Instance>;
 
     nvme::CommandResult doMInit(const nvme::Command &cmd,
                                 sim::Tick start);
+    /**
+     * MREAD: one ms_stream per chunk (paper §VI-A) — fetch the chunk
+     * into controller DRAM, parse it in sub-buffers, flush the staged
+     * objects. With SsdConfig::pipeline.enabled the fetch may come from
+     * the instance's readahead buffer and is timed per page, the chunk
+     * is parsed in D-SRAM-sized sub-buffers so parse(sub_i) overlaps
+     * fetch and flush DMA of its neighbours, flush segments are
+     * coalesced, and the next chunk is prefetched. With it off the
+     * same loop runs its degenerate configuration: one DRAM transfer
+     * for the whole chunk, one sub-buffer, no coalescing, no
+     * readahead. Functional results and ParseCost cycle totals are
+     * the same either way; only the schedule differs.
+     */
     nvme::CommandResult doMRead(const nvme::Command &cmd,
                                 sim::Tick start);
 
     /**
-     * Pipelined MREAD data path (SsdConfig::pipeline.enabled): chunk
-     * timing comes from the instance's readahead buffer when the
-     * prefetch covered this range cleanly, the chunk is parsed in
-     * D-SRAM-sized sub-buffers so parse(sub_i) overlaps fetch and
-     * flush DMA of its neighbours, and contiguous flush segments are
-     * coalesced into bounded DMA descriptors. Functional results and
-     * ParseCost cycle totals match the serial path; only the schedule
-     * differs. Called by doMRead after the common admission checks
-     * (instance lookup, poison, migration, sequence guard).
+     * Take the instance's staged flush segments. With the pipeline on,
+     * merge address-contiguous ones (they are contiguous by
+     * construction: the cursor advances segment by segment) into
+     * descriptors of at most PipelineConfig::maxDescriptorBytes; one
+     * cyclesPerFlush and one DMA are charged per merged descriptor.
      */
-    nvme::CommandResult mreadPipelined(Instance &inst,
-                                       const nvme::Command &cmd,
-                                       std::uint64_t byte_off,
-                                       std::uint64_t valid,
-                                       sim::Tick start);
+    std::vector<std::vector<std::uint8_t>> takeFlushes(Instance &inst);
 
-    /**
-     * Issue the next chunk's flash page reads into the bounded
-     * controller-DRAM readahead buffer, starting no earlier than
-     * @p earliest (the tick the current chunk's fetch drained, so the
-     * prefetch runs under the current chunk's parse). Clamped to
-     * device capacity and PipelineConfig::readaheadBufferBytes.
-     */
-    void issueReadahead(Instance &inst, std::uint64_t byte_off,
-                        std::uint64_t len, sim::Tick earliest,
-                        obs::TraceId trace);
-
-    /**
-     * Merge address-contiguous flush segments (they are contiguous by
-     * construction: the DMA cursor advances segment by segment) into
-     * descriptors of at most @p max_bytes. One cyclesPerFlush and one
-     * outbound DMA are charged per merged descriptor.
-     */
-    static std::vector<std::vector<std::uint8_t>>
-    coalesceSegments(std::vector<std::vector<std::uint8_t>> segments,
-                     std::uint64_t max_bytes);
     nvme::CommandResult doMWrite(const nvme::Command &cmd,
                                  sim::Tick start);
     nvme::CommandResult doMDeinit(const nvme::Command &cmd,
@@ -255,26 +246,28 @@ class MorpheusDeviceRuntime : public ssd::MorpheusEngine
                            std::vector<std::vector<std::uint8_t>> segments,
                            sim::Tick earliest, obs::TraceId trace);
 
+    /** DMA @p bytes, buffered in controller DRAM at @p buffered, to the
+     *  instance's target (replaying transient faults), advance its
+     *  cursor and count them delivered. @return DMA completion. */
+    sim::Tick deliver(Instance &inst, const std::vector<std::uint8_t> &bytes,
+                      sim::Tick buffered);
+
     /** Ask the dispatcher whether the instance should move to a less
      *  loaded core before its next chunk, and commit the move. @p trace
-     *  is the chunk command paying for the move. */
+     *  is the chunk command paying for the move; only a chunk that goes
+     *  on to fetch and parse may pay for one. */
     void maybeMigrate(Instance &inst, sim::Tick now, obs::TraceId trace);
 
-    /**
-     * Watchdog force-kill of a hung instance: release its I-SRAM and
-     * D-SRAM, free its scheduler slot and placement, and erase it from
-     * the instance table (the host's MDEINIT-and-reinstall sees
-     * kNoSuchInstance and starts fresh). The hung command's CQE is
-     * suppressed by the caller.
-     */
-    void watchdogKill(std::uint32_t instance_id);
+    /** Unload the instance's image, release its D-SRAM grant and erase
+     *  it from the instance table. */
+    void eraseInstance(InstanceTable::iterator it);
 
     /** Cache key for @p inst's pinned stream (cache enabled only). */
     ssd::ObjectCacheKey cacheKeyFor(const Instance &inst) const;
 
     ssd::SsdController &_ssd;
     std::unordered_map<std::uint32_t, InstanceSetup> _staged;
-    std::unordered_map<std::uint32_t, Instance> _instances;
+    InstanceTable _instances;
     /** Per-instance delivered bytes (outlives the instance entry). */
     std::unordered_map<std::uint32_t, std::uint64_t> _delivered;
     /** Instances whose stream was cache-served (outlives the entry;

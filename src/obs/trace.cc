@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <map>
+#include <utility>
 
 namespace morpheus::obs {
 
@@ -13,6 +14,48 @@ void
 setTraceSink(TraceSink *sink)
 {
     detail::g_sink = sink;
+}
+
+namespace {
+
+Span
+makeSpan(std::string track, std::string name, const char *category,
+         sim::Tick begin, sim::Tick end, const SpanCtx &ctx)
+{
+    Span s;
+    s.track = std::move(track);
+    s.name = std::move(name);
+    s.category = category;
+    s.begin = begin;
+    s.end = end;
+    s.trace = ctx.trace;
+    s.tenant = ctx.tenant;
+    s.instance = ctx.instance;
+    s.core = ctx.core;
+    s.bytes = ctx.bytes;
+    s.status = ctx.status;
+    return s;
+}
+
+}  // namespace
+
+void
+recordSpan(TraceSink &sink, std::string track, std::string name,
+           const char *category, sim::Tick begin, sim::Tick end,
+           const SpanCtx &ctx)
+{
+    sink.record(makeSpan(std::move(track), std::move(name), category,
+                         begin, end, ctx));
+}
+
+void
+recordInstant(TraceSink &sink, std::string track, std::string name,
+              const char *category, sim::Tick at, const SpanCtx &ctx)
+{
+    Span s = makeSpan(std::move(track), std::move(name), category, at,
+                      at, ctx);
+    s.instant = true;
+    sink.record(s);
 }
 
 std::vector<Span>

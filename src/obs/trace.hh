@@ -74,6 +74,9 @@ struct SpanCtx
     std::uint32_t tenant = 0;
     std::uint32_t instance = 0;
     std::uint64_t bytes = 0;
+    std::uint32_t core = kNoCore;
+    /** NVMe status word when relevant (0 = success/not applicable). */
+    std::uint32_t status = 0;
 };
 
 /** Receiver of recorded spans. */
@@ -83,6 +86,20 @@ class TraceSink
     virtual ~TraceSink() = default;
     virtual void record(const Span &span) = 0;
 };
+
+/**
+ * Record the interval [@p begin, @p end] on @p track into @p sink.
+ * Callers keep their `traceSink()` guard, so no track string is built
+ * while tracing is off.
+ */
+void recordSpan(TraceSink &sink, std::string track, std::string name,
+                const char *category, sim::Tick begin, sim::Tick end,
+                const SpanCtx &ctx = {});
+
+/** Record a point event at @p at on @p track into @p sink. */
+void recordInstant(TraceSink &sink, std::string track, std::string name,
+                   const char *category, sim::Tick at,
+                   const SpanCtx &ctx = {});
 
 namespace detail {
 /** The process-global sink pointer; null = tracing disabled. */

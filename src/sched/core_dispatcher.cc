@@ -29,16 +29,9 @@ recordDispatch(const std::string &prefix, const char *name, sim::Tick at,
                std::uint32_t instance, unsigned core)
 {
     if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = prefix + "sched.dispatcher";
-        s.name = name;
-        s.category = "sched";
-        s.begin = at;
-        s.end = at;
-        s.instant = true;
-        s.instance = instance;
-        s.core = core;
-        sink->record(s);
+        obs::recordInstant(*sink, prefix + "sched.dispatcher", name,
+                           "sched", at,
+                           {.instance = instance, .core = core});
     }
 }
 

@@ -18,17 +18,8 @@ recordSchedInstant(obs::TraceSink &sink, const std::string &prefix,
                    const nvme::Command &cmd, std::uint32_t tenant,
                    const char *name, sim::Tick at)
 {
-    obs::Span s;
-    s.track = tenantTrack(prefix, tenant);
-    s.name = name;
-    s.category = "sched";
-    s.begin = at;
-    s.end = at;
-    s.instant = true;
-    s.trace = cmd.traceId;
-    s.tenant = tenant;
-    s.instance = cmd.instanceId;
-    sink.record(s);
+    obs::recordInstant(sink, tenantTrack(prefix, tenant), name, "sched", at,
+                       {cmd.traceId, tenant, cmd.instanceId});
 }
 
 void
@@ -36,16 +27,8 @@ recordSchedWait(obs::TraceSink &sink, const std::string &prefix,
                 const nvme::Command &cmd, std::uint32_t tenant,
                 const char *name, sim::Tick arrival, sim::Tick start)
 {
-    obs::Span s;
-    s.track = tenantTrack(prefix, tenant);
-    s.name = name;
-    s.category = "sched";
-    s.begin = arrival;
-    s.end = start;
-    s.trace = cmd.traceId;
-    s.tenant = tenant;
-    s.instance = cmd.instanceId;
-    sink.record(s);
+    obs::recordSpan(sink, tenantTrack(prefix, tenant), name, "sched",
+                    arrival, start, {cmd.traceId, tenant, cmd.instanceId});
 }
 
 }  // namespace

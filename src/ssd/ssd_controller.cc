@@ -35,9 +35,7 @@ SsdController::SsdController(sim::EventQueue &eq,
     // controller-DRAM budget: whatever the readahead reserves comes
     // out of the cache's capacity, so the two never double-book.
     const std::uint64_t reserved =
-        config.pipeline.enabled && config.pipeline.readahead
-            ? config.pipeline.readaheadBufferBytes
-            : 0;
+        config.pipeline.enabled ? config.pipeline.readaheadBufferBytes : 0;
     _cache = std::make_unique<ObjectCache>(config.cache, reserved);
     _nvme.setHandler([this](const nvme::Command &cmd, sim::Tick start) {
         return handleCommand(cmd, start);
@@ -260,17 +258,12 @@ SsdController::doRead(const nvme::Command &cmd, sim::Tick start)
         // Uncorrectable page: the access time was charged, but no data
         // leaves the device. The host retries (read-retry recoverable).
         if (auto *sink = obs::traceSink()) {
-            obs::Span s;
-            s.track = _trackPrefix + "ssd.firmware";
-            s.name = "media_error";
-            s.category = "ssd";
-            s.begin = buffered;
-            s.end = buffered;
-            s.instant = true;
-            s.trace = cmd.traceId;
-            s.status =
-                static_cast<std::uint32_t>(nvme::Status::kMediaError);
-            sink->record(s);
+            obs::recordInstant(
+                *sink, _trackPrefix + "ssd.firmware", "media_error", "ssd",
+                buffered,
+                {.trace = cmd.traceId,
+                 .status = static_cast<std::uint32_t>(
+                     nvme::Status::kMediaError)});
         }
         return {buffered, nvme::Status::kMediaError, 0};
     }

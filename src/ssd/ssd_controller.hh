@@ -28,25 +28,21 @@
 namespace morpheus::ssd {
 
 /**
- * Streaming chunk pipeline knobs (DESIGN.md §11). All stages are off
- * by default so every existing figure reproduces unchanged; with
- * `enabled` set, the firmware overlaps flash readahead, sub-buffer
- * parsing, and outbound flush DMA on the MREAD path. The pipeline is a
- * pure schedule change: functional results and the ParseCost cycle
- * totals are identical either way.
+ * Streaming chunk pipeline (DESIGN.md §11). Off by default so every
+ * existing figure reproduces unchanged; with `enabled` set, the
+ * firmware prefetches the next chunk's flash pages, parses each chunk
+ * in D-SRAM-sized sub-buffers as its pages arrive, and coalesces
+ * outbound flush DMA. Off, the same MREAD loop runs serially: one
+ * fetch, one parse, one flush per chunk. The pipeline is a pure
+ * schedule change: functional results and the ParseCost cycle totals
+ * are identical either way.
  */
 struct PipelineConfig
 {
     /** Master switch for the pipelined MREAD/MWRITE data path. */
     bool enabled = false;
-    /** Prefetch the next chunk's flash pages while this one parses. */
-    bool readahead = true;
     /** Bound on controller-DRAM bytes a prefetch may occupy. */
     std::uint64_t readaheadBufferBytes = 256 * 1024;
-    /** Interleave parse(sub_i) with fetch(sub_{i+1}) within a chunk. */
-    bool doubleBuffer = true;
-    /** Merge address-contiguous flush segments into one descriptor. */
-    bool coalesceFlush = true;
     /** Largest coalesced outbound DMA descriptor. */
     std::uint64_t maxDescriptorBytes = 128 * 1024;
 };

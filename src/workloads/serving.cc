@@ -131,17 +131,9 @@ void
 recordServingInstant(const char *name, std::uint32_t tenant,
                      sim::Tick when)
 {
-    if (auto *sink = obs::traceSink()) {
-        obs::Span s;
-        s.track = "host.serving";
-        s.name = name;
-        s.category = "serving";
-        s.begin = when;
-        s.end = when;
-        s.instant = true;
-        s.tenant = tenant;
-        sink->record(s);
-    }
+    if (auto *sink = obs::traceSink())
+        obs::recordInstant(*sink, "host.serving", name, "serving", when,
+                           {.tenant = tenant});
 }
 
 struct ActiveSession
@@ -673,15 +665,10 @@ runServing(const ServingOptions &opts)
             req_traces[req_idx].empty()) {
             return;
         }
-        obs::Span s;
-        s.track = "host.serving";
-        s.name = "retry_wait";
-        s.category = "serving";
-        s.begin = begin;
-        s.end = end;
-        s.tenant = opts.tenants[requests[req_idx].tenantIdx].id;
-        s.trace = req_traces[req_idx].back();
-        recorder->record(s);
+        obs::recordSpan(*recorder, "host.serving", "retry_wait", "serving",
+                        begin, end,
+                        {req_traces[req_idx].back(),
+                         opts.tenants[requests[req_idx].tenantIdx].id});
     };
 
     // Terminal outcome: pull the request's spans out of the ring,

@@ -13,6 +13,7 @@
 #include "core/device_runtime.hh"
 #include "core/standard_apps.hh"
 #include "host/host_system.hh"
+#include "obs/critical_path.hh"
 #include "obs/trace.hh"
 #include "sim/fault.hh"
 #include "workloads/generators.hh"
@@ -50,7 +51,7 @@ struct Rig
     minit(std::uint32_t instance, const co::StorageAppImage &image,
           co::DmaTarget target, std::uint32_t arg = 0,
           std::uint32_t flush_threshold = 0, std::uint32_t dsram = 0,
-          std::uint64_t stream_bytes = 0)
+          std::uint64_t stream_bytes = 0, morpheus::sim::Tick now = 0)
     {
         co::InstanceSetup setup;
         setup.image = &image;
@@ -67,7 +68,7 @@ struct Rig
         c.slba = stream_bytes;
         c.cdw13 = image.textBytes;
         c.cdw14 = arg;
-        return io(c);
+        return io(c, now);
     }
 
     /** Stream the whole extent in @p chunk-byte MREADs, then MDEINIT.
@@ -926,14 +927,13 @@ TEST(DeviceRuntime, PipelinedCoalesceMergesSmallFlushSegments)
     // twice, so coalescing has nothing to merge; a tiny threshold
     // splits each sub-buffer's output into many 512-byte segments,
     // which land back-to-back on the DMA cursor and must merge into
-    // maxDescriptorBytes descriptors without changing a byte.
+    // maxDescriptorBytes descriptors without changing a byte. The
+    // serial path coalesces nothing and is the byte reference.
     const auto a = wk::genIntArray(93, 20000);
     sd::TextWriter w;
     a.serialize(w);
 
-    auto run = [&](bool coalesce) {
-        auto cfg = pipelineConfig();
-        cfg.ssd.pipeline.coalesceFlush = coalesce;
+    auto run = [&](const ho::SystemConfig &cfg) {
         Rig rig(cfg);
         const auto extent = rig.sys.createFile("ints", w.bytes());
         const auto target_addr = rig.sys.allocHost(a.objectBytes());
@@ -958,8 +958,8 @@ TEST(DeviceRuntime, PipelinedCoalesceMergesSmallFlushSegments)
             rig.device.flushSegmentsCoalesced());
     };
 
-    const auto [merged, merged_count] = run(true);
-    const auto [split, split_count] = run(false);
+    const auto [merged, merged_count] = run(pipelineConfig());
+    const auto [split, split_count] = run(ho::SystemConfig{});
     EXPECT_GT(merged_count, 0u);
     EXPECT_EQ(split_count, 0u);
     EXPECT_EQ(merged, split);
@@ -1161,6 +1161,300 @@ TEST(DeviceRuntime, PipelinedRunIsTraceInvariant)
     EXPECT_GE(sink.count("readahead"), 1u);
     EXPECT_GE(sink.count("parse"), 2u);
     EXPECT_GE(sink.count("fetch_readahead"), 1u);
+}
+
+// ---- MREAD characterization: serial and pipelined under faults ------
+
+namespace {
+
+/** What one faulted stream leaves behind, host- and device-side. */
+struct FaultedStream
+{
+    std::vector<nv::Status> statuses;
+    std::vector<morpheus::sim::Tick> postedAt;
+    std::uint64_t delivered = 0;
+    std::uint64_t objectBytesOut = 0;
+    std::uint64_t rawBytesIn = 0;
+    std::uint64_t readaheadIssued = 0;
+    std::uint64_t readaheadHits = 0;
+    std::uint64_t readaheadMediaDiscards = 0;
+    std::uint64_t readaheadDropped = 0;
+    std::uint64_t subBuffersParsed = 0;
+    std::uint64_t flushSegmentsCoalesced = 0;
+    std::uint64_t mediaErrors = 0;
+    std::uint64_t appCrashes = 0;
+    std::uint64_t appHangs = 0;
+};
+
+/**
+ * Stream a fixed integer array in 16 KiB MREADs under a seeded fault
+ * plan, recovering as a host would: resubmit a chunk after a media
+ * error; MDEINIT, reinstall and restart the stream after a crash;
+ * reinstall and restart after a hang (the watchdog kills the instance
+ * and the driver times the command out). Every completion is logged.
+ */
+FaultedStream
+runFaultedStream(const ho::SystemConfig &cfg)
+{
+    Rig rig(cfg);
+    const auto a = wk::genIntArray(96, 24000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto extent = rig.sys.createFile("ints", w.bytes());
+    const auto target = co::DmaTarget{rig.sys.allocHost(a.objectBytes()),
+                                      false};
+    nv::DriverRecoveryConfig rec;
+    rec.enabled = true;
+    rig.sys.nvmeDriver().setRecovery(rec);
+
+    morpheus::sim::FaultPlan plan;
+    plan.mediaRate = 0.005;
+    plan.crashRate = 0.03;
+    plan.hangRate = 0.03;
+    plan.seed = 78;
+    morpheus::sim::FaultInjector fi(plan);
+    morpheus::sim::ScopedFaultInjector scope(&fi);
+
+    FaultedStream out;
+    auto log = [&](const nv::Completion &cqe) {
+        out.statuses.push_back(cqe.status);
+        out.postedAt.push_back(cqe.postedAt);
+        return cqe;
+    };
+    morpheus::sim::Tick t =
+        log(rig.minit(1, rig.images.intArray, target, 0, 0, 0, 0, 0))
+            .postedAt;
+    std::uint64_t off = 0;
+    while (off < extent.sizeBytes && out.statuses.size() < 200) {
+        const std::uint64_t len =
+            std::min<std::uint64_t>(16 * 1024, extent.sizeBytes - off);
+        const auto cqe = log(rig.mread(1, extent, off, len, t));
+        t = cqe.postedAt;
+        if (cqe.ok()) {
+            off += len;
+        } else if (cqe.status != nv::Status::kMediaError) {
+            if (cqe.status == nv::Status::kAppFault)
+                t = log(rig.mdeinit(1, t)).postedAt;
+            t = log(rig.minit(1, rig.images.intArray, target, 0, 0, 0, 0,
+                              t))
+                    .postedAt;
+            off = 0;
+        }
+    }
+    const auto fin = log(rig.mdeinit(1, t));
+    EXPECT_TRUE(fin.ok());
+    EXPECT_EQ(fin.dw0, a.values.size());
+    const auto bin = rig.sys.mem().store().readVec(
+        target.addr, static_cast<std::size_t>(a.objectBytes()));
+    EXPECT_EQ(sd::IntArrayObject::fromBinary(bin), a);
+
+    const co::MorpheusDeviceRuntime &d = rig.device;
+    out.delivered = rig.device.takeDeliveredBytes(1);
+    out.objectBytesOut = d.objectBytesOut();
+    out.rawBytesIn = d.rawBytesIn();
+    out.readaheadIssued = d.readaheadIssued();
+    out.readaheadHits = d.readaheadHits();
+    out.readaheadMediaDiscards = d.readaheadMediaDiscards();
+    out.readaheadDropped = d.readaheadDropped();
+    out.subBuffersParsed = d.subBuffersParsed();
+    out.flushSegmentsCoalesced = d.flushSegmentsCoalesced();
+    out.mediaErrors = fi.mediaErrors();
+    out.appCrashes = fi.appCrashes();
+    out.appHangs = fi.appHangs();
+    return out;
+}
+
+}  // namespace
+
+TEST(DeviceRuntime, MReadCharacterizationUnderFaults)
+{
+    // Recorded from the separate serial and pipelined MREAD paths
+    // before they were folded into one loop: every completion's
+    // status and tick, the delivered bytes and the device counters
+    // must not move. Seed 78 hangs chunk 4 (the driver times it out),
+    // then draws a media error on the restarted stream's chunk 0 and
+    // crashes its chunk 5; the statuses are the same in both modes.
+    constexpr auto kOk = nv::Status::kSuccess;
+    std::vector<nv::Status> statuses(28, kOk);
+    statuses[5] = nv::Status::kCommandTimeout;
+    statuses[7] = nv::Status::kMediaError;
+    statuses[13] = nv::Status::kAppFault;
+
+    const FaultedStream serial = runFaultedStream(ho::SystemConfig{});
+    EXPECT_EQ(serial.statuses, statuses);
+    EXPECT_EQ(serial.postedAt,
+              (std::vector<morpheus::sim::Tick>{
+                  72786460,   1446172923, 1597224641, 1748209259,
+                  1927766279, 2927766279, 2967285734, 3075327052,
+                  3226292970, 3377344688, 3528329306, 3707886326,
+                  3858907244, 4009888562, 4018409880, 4057929335,
+                  4208895253, 4359946971, 4510931589, 4690488609,
+                  4841509527, 4992490845, 5172044565, 5323045683,
+                  5474011601, 5625000619, 5738271993, 5773478910}));
+    EXPECT_EQ(serial.delivered, 323076u);
+    EXPECT_EQ(serial.objectBytesOut, 323076u);
+    EXPECT_EQ(serial.rawBytesIn, 361937u);
+    EXPECT_EQ(serial.readaheadIssued, 0u);
+    EXPECT_EQ(serial.readaheadHits, 0u);
+    EXPECT_EQ(serial.readaheadMediaDiscards, 0u);
+    EXPECT_EQ(serial.readaheadDropped, 0u);
+    EXPECT_EQ(serial.subBuffersParsed, 0u);
+    EXPECT_EQ(serial.flushSegmentsCoalesced, 0u);
+    EXPECT_EQ(serial.mediaErrors, 1u);
+    EXPECT_EQ(serial.appCrashes, 1u);
+    EXPECT_EQ(serial.appHangs, 1u);
+
+    const FaultedStream piped = runFaultedStream(pipelineConfig());
+    EXPECT_EQ(piped.statuses, statuses);
+    EXPECT_EQ(piped.postedAt,
+              (std::vector<morpheus::sim::Tick>{
+                  72786460,   1446172923, 1506258723, 1597157541,
+                  1685815743, 2685815743, 2725335198, 2833376516,
+                  2984342434, 3044428234, 3135327052, 3223985254,
+                  3286347970, 3374966572, 3383487890, 3423007345,
+                  3573973263, 3634059063, 3724957881, 3813616083,
+                  3875978799, 3964597401, 4055532519, 4115598519,
+                  4206498437, 4266587537, 4322097155, 4357304072}));
+    EXPECT_EQ(piped.delivered, 323076u);
+    EXPECT_EQ(piped.objectBytesOut, 323076u);
+    EXPECT_EQ(piped.rawBytesIn, 361937u);
+    EXPECT_EQ(piped.readaheadIssued, 20u);
+    EXPECT_EQ(piped.readaheadHits, 19u);
+    EXPECT_EQ(piped.readaheadMediaDiscards, 0u);
+    EXPECT_EQ(piped.readaheadDropped, 0u);
+    EXPECT_EQ(piped.subBuffersParsed, 20u);
+    EXPECT_EQ(piped.flushSegmentsCoalesced, 0u);
+    EXPECT_EQ(piped.mediaErrors, 1u);
+    EXPECT_EQ(piped.appCrashes, 1u);
+    EXPECT_EQ(piped.appHangs, 1u);
+}
+
+TEST(DeviceRuntime, SerialMReadRecordsOneFetchSpanPerChunk)
+{
+    // The serial MREAD is the pipeline loop's degenerate case, so it
+    // records the same fetch span: flash -> controller DRAM from the
+    // command's start to the tick the chunk is buffered, where the
+    // (idle) core starts parsing it.
+    Rig rig;
+    const auto a = wk::genIntArray(97, 12000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto extent = rig.sys.createFile("ints", w.bytes());
+    const auto target = co::DmaTarget{rig.sys.allocHost(a.objectBytes()),
+                                      false};
+    morpheus::obs::InMemoryTraceSink sink;
+    morpheus::obs::ScopedTraceSink attach(sink);
+    ASSERT_TRUE(rig.minit(1, rig.images.intArray, target).ok());
+    const std::uint64_t chunk = 16 * 1024;
+    const auto fin = rig.streamAll(1, extent, 0, chunk);
+    ASSERT_TRUE(fin.ok());
+
+    const auto fetches = sink.named("fetch");
+    const std::uint64_t chunks = (extent.sizeBytes + chunk - 1) / chunk;
+    ASSERT_EQ(fetches.size(), chunks);
+    for (const auto &f : fetches) {
+        EXPECT_EQ(f.track, "ssd.dram");
+        EXPECT_LT(f.begin, f.end);
+        morpheus::sim::Tick exec_begin = 0;
+        morpheus::sim::Tick parse_begin = 0;
+        for (const auto &s : sink.forTrace(f.trace)) {
+            if (s.name == "MREAD" && s.track.rfind("nvme.exec", 0) == 0)
+                exec_begin = s.begin;
+            if (s.name == "parse")
+                parse_begin = s.begin;
+        }
+        EXPECT_EQ(f.begin, exec_begin);
+        EXPECT_EQ(f.end, parse_begin);
+    }
+    const auto attr =
+        morpheus::obs::attributeSpans(sink.spans(), 0, fin.postedAt);
+    EXPECT_GT(attr.ticks[static_cast<std::size_t>(
+                  morpheus::obs::Stage::kFetch)],
+              0u);
+}
+
+TEST(DeviceRuntime, BouncedMReadDoesNotMigrate)
+{
+    // An out-of-order chunk bounces with kSequenceError before any
+    // work: it must not move its instance (no dsram_move, no I-SRAM
+    // reload charged to a command that did nothing).
+    ho::SystemConfig cfg;
+    cfg.ssd.sched.placement = morpheus::sched::PlacementPolicy::kLoadAware;
+    cfg.ssd.sched.migration = true;
+    Rig rig(cfg);
+    const auto a = wk::genIntArray(98, 20000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto extent = rig.sys.createFile("ints", w.bytes());
+    const auto init = rig.minit(
+        1, rig.images.intArray,
+        co::DmaTarget{rig.sys.allocHost(a.objectBytes()), false});
+    ASSERT_TRUE(init.ok());
+    auto &dispatcher = rig.sys.ssd().scheduler().dispatcher();
+    const unsigned home = dispatcher.coreOf(1);
+
+    // The first chunk leaves a 64 KiB parse backlog on the home core,
+    // so a chunk submitted at the same instant would migrate — but
+    // this one skips ahead of the stream and bounces.
+    const morpheus::sim::Tick t0 = init.postedAt;
+    ASSERT_TRUE(rig.mread(1, extent, 0, 64 * 1024, t0).ok());
+    EXPECT_EQ(rig.mread(1, extent, 128 * 1024, 16 * 1024, t0).status,
+              nv::Status::kSequenceError);
+    EXPECT_EQ(dispatcher.migrations(), 0u);
+    EXPECT_EQ(dispatcher.coreOf(1), home);
+}
+
+TEST(DeviceRuntime, CacheServedMReadsDoNotMigrate)
+{
+    // A cache-hit stream touches no embedded core: neither its first
+    // MREAD (served from controller DRAM) nor the tail MREADs that
+    // complete trivially may move the instance, even when its core is
+    // the busiest one.
+    ho::SystemConfig cfg;
+    cfg.ssd.cache.enabled = true;
+    cfg.ssd.numCores = 2;
+    cfg.ssd.sched.placement = morpheus::sched::PlacementPolicy::kLoadAware;
+    cfg.ssd.sched.migration = true;
+    Rig rig(cfg);
+    const auto a = wk::genIntArray(99, 20000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto extent = rig.sys.createFile("ints", w.bytes());
+    const auto other = rig.sys.createFile("other", w.bytes());
+    auto target = [&] {
+        return co::DmaTarget{rig.sys.allocHost(a.objectBytes()), false};
+    };
+
+    // Populate the cache with one clean full stream.
+    const auto warm = rig.minit(1, rig.images.intArray, target(), 0, 0, 0,
+                                extent.sizeBytes);
+    ASSERT_TRUE(warm.ok());
+    const auto filled = rig.streamAll(1, extent, warm.postedAt);
+    ASSERT_TRUE(filled.ok());
+    morpheus::sim::Tick t = filled.postedAt;
+
+    // Instance 2 replays the cached object; instance 4 shares its core
+    // (instance 3 takes the other one) and parses a 64 KiB chunk there.
+    t = rig.minit(2, rig.images.intArray, target(), 0, 0, 0,
+                  extent.sizeBytes, t)
+            .postedAt;
+    t = rig.minit(3, rig.images.intArray, target(), 0, 0, 0, 0, t).postedAt;
+    t = rig.minit(4, rig.images.intArray, target(), 0, 0, 0, 0, t).postedAt;
+    auto &dispatcher = rig.sys.ssd().scheduler().dispatcher();
+    const unsigned home = dispatcher.coreOf(2);
+    ASSERT_EQ(dispatcher.coreOf(4), home);
+    ASSERT_NE(dispatcher.coreOf(3), home);
+    ASSERT_TRUE(rig.mread(4, other, 0, 64 * 1024, t).ok());
+
+    const std::uint64_t chunk = 16 * 1024;
+    for (std::uint64_t off = 0; off < extent.sizeBytes; off += chunk) {
+        const auto cqe = rig.mread(
+            2, extent, off, std::min(chunk, extent.sizeBytes - off), t);
+        ASSERT_TRUE(cqe.ok());
+    }
+    EXPECT_TRUE(rig.device.takeServedFromCache(2));
+    EXPECT_EQ(dispatcher.migrations(), 0u);
+    EXPECT_EQ(dispatcher.coreOf(2), home);
 }
 
 // ---- deserialized-object cache (DESIGN.md §13) ----------------------

@@ -50,9 +50,7 @@ usage()
         "                    [--stats-json FILE]\n"
         "                    [--fault-plan key=value,...]\n"
         "                    [--recovery]\n"
-        "                    [--pipeline] [--no-readahead]\n"
-        "                    [--no-double-buffer] [--no-coalesce]\n"
-        "                    [--readahead-bytes N]\n"
+        "                    [--pipeline] [--readahead-bytes N]\n"
         "                    [--max-descriptor-bytes N]\n"
         "                    [--ssds N] [--shard-policy hash|range]\n"
         "                    [--fleet-topology FILE.json]\n"
@@ -63,9 +61,8 @@ usage()
         "--recovery enables driver timeouts + bounded retries.\n"
         "--pipeline enables the streaming chunk pipeline (flash\n"
         "readahead + double-buffered parse + coalesced flush DMA);\n"
-        "the --no-* flags disable one stage, --readahead-bytes and\n"
-        "--max-descriptor-bytes bound the prefetch buffer and the\n"
-        "merged DMA descriptor size.\n"
+        "--readahead-bytes and --max-descriptor-bytes bound the\n"
+        "prefetch buffer and the merged DMA descriptor size.\n"
         "--ssds puts N SSDs behind the switch (the app still runs on\n"
         "device 0; object placement across the fleet is exercised by\n"
         "the serving benches). --fleet-topology loads per-device\n"
@@ -501,12 +498,6 @@ main(int argc, char **argv)
             opts.recovery.enabled = true;
         } else if (arg == "--pipeline") {
             opts.sys.ssd.pipeline.enabled = true;
-        } else if (arg == "--no-readahead") {
-            opts.sys.ssd.pipeline.readahead = false;
-        } else if (arg == "--no-double-buffer") {
-            opts.sys.ssd.pipeline.doubleBuffer = false;
-        } else if (arg == "--no-coalesce") {
-            opts.sys.ssd.pipeline.coalesceFlush = false;
         } else if (arg == "--readahead-bytes") {
             opts.sys.ssd.pipeline.readaheadBufferBytes =
                 static_cast<std::uint64_t>(
