@@ -768,3 +768,39 @@ TEST(Serving, BreakerOpenTenantIsNotDoubleRoutedByOverload)
             << "tenant " << t.id;
     }
 }
+
+TEST(Serving, AdmissionRejectOutcomesArePinned)
+{
+    // An admission-denied MINIT is a terminal rejection, not a bounce:
+    // it counts once, releases no parked request, and in a closed loop
+    // issues the tenant's next request. Values recorded from a known
+    // good build; a change to the serving loop must reproduce them.
+    wk::ServingOptions opts =
+        skewedServing(sched::PlacementPolicy::kLoadAware, true);
+    opts.sys.ssd.sched.admission = sched::AdmissionPolicy::kReject;
+    opts.sys.ssd.sched.maxInflightPerTenant = 2;
+
+    const wk::ServingReport open = wk::runServing(opts);
+    EXPECT_EQ(open.submitted, 208u);
+    EXPECT_EQ(open.completed, 79u);
+    EXPECT_EQ(open.rejected, 129u);
+    EXPECT_EQ(open.lost, 0u);
+    EXPECT_EQ(open.makespan, 10181949516u);
+    EXPECT_DOUBLE_EQ(open.p99Us, 1096.354738);
+    ASSERT_EQ(open.tenants.size(), 3u);
+    EXPECT_EQ(open.tenants[0].rejected, 129u);
+    EXPECT_EQ(open.tenants[0].completed, 55u);
+    EXPECT_EQ(open.tenants[1].rejected, 0u);
+    EXPECT_EQ(open.tenants[2].rejected, 0u);
+
+    opts.closedLoop = true;
+    opts.closedLoopConcurrency = 3;
+    opts.closedLoopRequests = 24;
+    const wk::ServingReport closed = wk::runServing(opts);
+    EXPECT_EQ(closed.submitted, 72u);
+    EXPECT_EQ(closed.completed, 14u);
+    EXPECT_EQ(closed.rejected, 58u);
+    EXPECT_EQ(closed.lost, 0u);
+    EXPECT_EQ(closed.makespan, 1027033910u);
+    EXPECT_DOUBLE_EQ(closed.p99Us, 530.977056);
+}
