@@ -15,12 +15,10 @@
 #define MORPHEUS_FLASH_FLASH_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "flash/flash_config.hh"
-#include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
 
@@ -30,13 +28,7 @@ namespace morpheus::flash {
 class FlashArray
 {
   public:
-    /** Completion callback for reads: (completion tick, page data). */
-    using ReadCallback =
-        std::function<void(sim::Tick, std::vector<std::uint8_t>)>;
-    /** Completion callback for programs and erases. */
-    using DoneCallback = std::function<void(sim::Tick)>;
-
-    FlashArray(sim::EventQueue &eq, const FlashConfig &config);
+    explicit FlashArray(const FlashConfig &config);
 
     const FlashConfig &config() const { return _config; }
 
@@ -45,8 +37,6 @@ class FlashArray
      *
      * @param addr     Page to read; must be programmed.
      * @param earliest First tick at which the die may start.
-     * @param cb       Optional; invoked (via the event queue) at
-     *                 completion with a copy of the page contents.
      * @param uncorrectable  Optional fault-injection out-param: set to
      *                 true when the installed sim::FaultInjector makes
      *                 this read come back uncorrectable (the full
@@ -60,7 +50,6 @@ class FlashArray
      *         can start at the first page's arrival, not the last's.
      */
     sim::Tick read(const PagePointer &addr, sim::Tick earliest,
-                   ReadCallback cb = nullptr,
                    bool *uncorrectable = nullptr);
 
     /**
@@ -68,12 +57,10 @@ class FlashArray
      * programming within the block.
      */
     sim::Tick program(const PagePointer &addr,
-                      std::vector<std::uint8_t> data, sim::Tick earliest,
-                      DoneCallback cb = nullptr);
+                      std::vector<std::uint8_t> data, sim::Tick earliest);
 
     /** Erase one block, releasing all of its pages. */
-    sim::Tick erase(const BlockPointer &addr, sim::Tick earliest,
-                    DoneCallback cb = nullptr);
+    sim::Tick erase(const BlockPointer &addr, sim::Tick earliest);
 
     /**
      * Earliest completion tick if a read of @p addr started no earlier
@@ -109,7 +96,6 @@ class FlashArray
     sim::Timeline &die(unsigned channel, unsigned die_idx);
     const sim::Timeline &die(unsigned channel, unsigned die_idx) const;
 
-    sim::EventQueue &_eq;
     FlashConfig _config;
 
     /** One occupancy timeline per die and per channel bus. */

@@ -20,7 +20,6 @@
 #define MORPHEUS_FTL_FTL_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -44,13 +43,7 @@ struct FtlConfig
 class Ftl
 {
   public:
-    /** Read completion: (tick, concatenated page data). */
-    using ReadCallback =
-        std::function<void(sim::Tick, std::vector<std::uint8_t>)>;
-    using DoneCallback = std::function<void(sim::Tick)>;
-
-    Ftl(sim::EventQueue &eq, flash::FlashArray &array,
-        const FtlConfig &config);
+    Ftl(flash::FlashArray &array, const FtlConfig &config);
 
     /** Bytes per logical page (== flash page size). */
     std::uint32_t pageBytes() const { return _array.config().pageBytes; }
@@ -59,10 +52,11 @@ class Ftl
     std::uint64_t logicalPages() const { return _logicalPages; }
 
     /**
-     * Read @p count logical pages starting at @p lpn.
+     * Charge a read of @p count logical pages starting at @p lpn.
      *
-     * Unmapped pages read as zeros (like a trimmed LBA). Pages are
-     * fetched in parallel across dies; completion is the latest page.
+     * Unmapped pages cost no flash time (they read as zeros, like a
+     * trimmed LBA; see peekPage()). Pages are fetched in parallel
+     * across dies; completion is the latest page.
      *
      * @param media_error  Optional fault-injection out-param: set true
      *         when any constituent flash page read comes back
@@ -71,12 +65,10 @@ class Ftl
      *         ticks, in LPN order (unmapped pages complete at
      *         @p earliest). Lets the streaming pipeline start consuming
      *         at the first page's arrival instead of the last's.
-     * @return Completion tick; @p cb (optional) fires then with the
-     *         concatenated data.
+     * @return Completion tick.
      */
     sim::Tick readPages(std::uint64_t lpn, std::uint32_t count,
-                        sim::Tick earliest, ReadCallback cb = nullptr,
-                        bool *media_error = nullptr,
+                        sim::Tick earliest, bool *media_error = nullptr,
                         std::vector<sim::Tick> *page_ticks = nullptr);
 
     /**
@@ -87,7 +79,7 @@ class Ftl
      */
     sim::Tick writePages(std::uint64_t lpn,
                          const std::vector<std::uint8_t> &data,
-                         sim::Tick earliest, DoneCallback cb = nullptr);
+                         sim::Tick earliest);
 
     /**
      * TRIM: drop the mappings of @p count logical pages starting at
@@ -140,7 +132,9 @@ class Ftl
 
     std::uint64_t flatBlock(const flash::BlockPointer &b) const;
 
-    sim::EventQueue &_eq;
+    /** Decode a flat physical page index into its flash address. */
+    flash::PagePointer physicalPage(std::uint64_t ppn) const;
+
     flash::FlashArray &_array;
     FtlConfig _config;
     std::uint64_t _logicalPages;

@@ -9,14 +9,13 @@
 
 namespace morpheus::ssd {
 
-SsdController::SsdController(sim::EventQueue &eq,
-                             pcie::PcieSwitch &fabric, pcie::PortId port,
+SsdController::SsdController(pcie::PcieSwitch &fabric, pcie::PortId port,
                              const SsdConfig &config)
-    : _eq(eq), _fabric(fabric), _port(port), _config(config),
+    : _fabric(fabric), _port(port), _config(config),
       _trackPrefix(config.label.empty() ? std::string()
                                         : config.label + "."),
-      _flash(std::make_unique<flash::FlashArray>(eq, config.flash)),
-      _ftl(std::make_unique<ftl::Ftl>(eq, *_flash, config.ftl)),
+      _flash(std::make_unique<flash::FlashArray>(config.flash)),
+      _ftl(std::make_unique<ftl::Ftl>(*_flash, config.ftl)),
       _nvme(fabric, port, config.nvme),
       _dram(_trackPrefix + "ssd.dram")
 {
@@ -96,7 +95,7 @@ SsdController::fetchToDram(std::uint64_t byte_offset, std::uint64_t len,
     const std::uint64_t last = (byte_offset + len - 1) / page_bytes;
     const auto count = static_cast<std::uint32_t>(last - first + 1);
     const sim::Tick flash_done =
-        _ftl->readPages(first, count, earliest, nullptr, media_error);
+        _ftl->readPages(first, count, earliest, media_error);
     // Buffer the payload through controller DRAM.
     return dramTransfer(len, flash_done);
 }
@@ -118,8 +117,7 @@ SsdController::fetchToDramPaged(std::uint64_t byte_offset,
 
     std::vector<sim::Tick> flash_ticks;
     bool media = false;
-    _ftl->readPages(first, count, earliest, nullptr, &media,
-                    &flash_ticks);
+    _ftl->readPages(first, count, earliest, &media, &flash_ticks);
     fetch.mediaError = media;
 
     // Buffer each page through controller DRAM in logical order (the

@@ -105,8 +105,8 @@ class MorpheusEngine
 class SsdController
 {
   public:
-    SsdController(sim::EventQueue &eq, pcie::PcieSwitch &fabric,
-                  pcie::PortId port, const SsdConfig &config);
+    SsdController(pcie::PcieSwitch &fabric, pcie::PortId port,
+                  const SsdConfig &config);
 
     const SsdConfig &config() const { return _config; }
     pcie::PortId port() const { return _port; }
@@ -215,7 +215,6 @@ class SsdController
                                 sim::Tick start);
     nvme::CommandResult doDsm(const nvme::Command &cmd, sim::Tick start);
 
-    sim::EventQueue &_eq;
     pcie::PcieSwitch &_fabric;
     pcie::PortId _port;
     SsdConfig _config;

@@ -50,28 +50,25 @@ TEST(FlashConfig, GeometryArithmetic)
 
 TEST(FlashArray, ProgramThenReadReturnsData)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    const auto cfg = smallConfig();
+    fl::FlashArray flash(cfg);
     const fl::PagePointer p{0, 0, 0, 0, 0};
-    const auto data = pattern(7, 512);
-    flash.program(p, data, 0);
+    const ms::Tick programmed = flash.program(p, pattern(7, 512), 0);
     ASSERT_TRUE(flash.isProgrammed(p));
 
-    bool called = false;
-    flash.read(p, 0, [&](ms::Tick when, std::vector<std::uint8_t> d) {
-        called = true;
-        EXPECT_GT(when, 0u);
-        EXPECT_EQ(d, pattern(7, 512));
-    });
-    eq.run();
-    EXPECT_TRUE(called);
+    // The read queues behind the program on the same die, then pays
+    // tR and the channel transfer; the page holds what was programmed.
+    const ms::Tick done = flash.read(p, 0);
+    EXPECT_EQ(done, programmed + cfg.readLatency +
+                        ms::transferTicks(cfg.pageBytes,
+                                          cfg.channelBytesPerSec));
+    EXPECT_EQ(flash.peek(p), pattern(7, 512));
 }
 
 TEST(FlashArray, ReadTimingIncludesTrAndChannel)
 {
-    ms::EventQueue eq;
     const auto cfg = smallConfig();
-    fl::FlashArray flash(eq, cfg);
+    fl::FlashArray flash(cfg);
     const fl::PagePointer p{0, 0, 0, 0, 0};
     flash.program(p, pattern(1, 16), 0);
     const ms::Tick prog_done = flash.program({0, 0, 0, 0, 1},
@@ -84,15 +81,13 @@ TEST(FlashArray, ReadTimingIncludesTrAndChannel)
 
 TEST(FlashArrayDeath, ReadingUnprogrammedPagePanics)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    fl::FlashArray flash(smallConfig());
     EXPECT_DEATH(flash.read({0, 0, 0, 0, 0}, 0), "unprogrammed");
 }
 
 TEST(FlashArrayDeath, ProgramTwiceWithoutErasePanics)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    fl::FlashArray flash(smallConfig());
     const fl::PagePointer p{0, 0, 0, 0, 0};
     flash.program(p, pattern(1, 8), 0);
     EXPECT_DEATH(flash.program(p, pattern(2, 8), 0), "write-once");
@@ -100,8 +95,7 @@ TEST(FlashArrayDeath, ProgramTwiceWithoutErasePanics)
 
 TEST(FlashArrayDeath, OutOfOrderProgramPanics)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    fl::FlashArray flash(smallConfig());
     // Page 1 before page 0 violates in-order programming.
     EXPECT_DEATH(flash.program({0, 0, 0, 0, 1}, pattern(1, 8), 0),
                  "out-of-order");
@@ -109,8 +103,7 @@ TEST(FlashArrayDeath, OutOfOrderProgramPanics)
 
 TEST(FlashArray, EraseAllowsReprogramming)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    fl::FlashArray flash(smallConfig());
     const fl::BlockPointer blk{0, 0, 0, 0};
     flash.program(blk.pageAt(0), pattern(1, 8), 0);
     flash.program(blk.pageAt(1), pattern(2, 8), 0);
@@ -123,9 +116,8 @@ TEST(FlashArray, EraseAllowsReprogramming)
 
 TEST(FlashArray, DiesOperateInParallel)
 {
-    ms::EventQueue eq;
     const auto cfg = smallConfig();
-    fl::FlashArray flash(eq, cfg);
+    fl::FlashArray flash(cfg);
     // Program one page on two different dies: programs overlap, so the
     // completion of the second is far less than 2x tPROG.
     const ms::Tick d0 =
@@ -137,9 +129,8 @@ TEST(FlashArray, DiesOperateInParallel)
 
 TEST(FlashArray, SameDieOperationsSerialize)
 {
-    ms::EventQueue eq;
     const auto cfg = smallConfig();
-    fl::FlashArray flash(eq, cfg);
+    fl::FlashArray flash(cfg);
     const ms::Tick d0 =
         flash.program({0, 0, 0, 0, 0}, pattern(1, 16), 0);
     const ms::Tick d1 =
@@ -149,8 +140,7 @@ TEST(FlashArray, SameDieOperationsSerialize)
 
 TEST(FlashArray, StatsCountOperations)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    fl::FlashArray flash(smallConfig());
     flash.program({0, 0, 0, 0, 0}, pattern(1, 16), 0);
     flash.read({0, 0, 0, 0, 0}, 0);
     flash.erase({0, 0, 0, 0}, 0);
@@ -161,8 +151,7 @@ TEST(FlashArray, StatsCountOperations)
 
 TEST(FlashArray, EstimateMatchesActualReadCompletion)
 {
-    ms::EventQueue eq;
-    fl::FlashArray flash(eq, smallConfig());
+    fl::FlashArray flash(smallConfig());
     const fl::PagePointer p{1, 1, 0, 2, 0};
     flash.program(p, pattern(9, 32), 0);
     const ms::Tick est = flash.estimateReadDone(p, 1000000);

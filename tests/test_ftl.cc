@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ftl/ftl.hh"
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 
 namespace fl = morpheus::flash;
@@ -43,12 +44,11 @@ fill(std::uint8_t seed, std::size_t n)
 
 struct FtlFixture
 {
-    ms::EventQueue eq;
     fl::FlashArray flash;
     ft::Ftl ftl;
 
     explicit FtlFixture(const ft::FtlConfig &cfg = {})
-        : flash(eq, tinyFlash()), ftl(eq, flash, cfg)
+        : flash(tinyFlash()), ftl(flash, cfg)
     {}
 };
 
@@ -76,18 +76,17 @@ TEST(Ftl, WriteThenReadBack)
 {
     FtlFixture f;
     const auto data = fill(0xA5, 256);
-    f.ftl.writePages(5, data, 0);
+    const ms::Tick written = f.ftl.writePages(5, data, 0);
     ASSERT_TRUE(f.ftl.isMapped(5));
-    EXPECT_EQ(f.ftl.peekPage(5), data);
 
-    bool called = false;
-    f.ftl.readPages(5, 1, 0,
-                    [&](ms::Tick, std::vector<std::uint8_t> d) {
-                        called = true;
-                        EXPECT_EQ(d, fill(0xA5, 256));
-                    });
-    f.eq.run();
-    EXPECT_TRUE(called);
+    // The read waits for the program on the same die, then pays tR and
+    // the channel transfer; the mapped page holds the written bytes.
+    const auto cfg = tinyFlash();
+    EXPECT_EQ(f.ftl.readPages(5, 1, 0),
+              written + cfg.readLatency +
+                  ms::transferTicks(cfg.pageBytes,
+                                    cfg.channelBytesPerSec));
+    EXPECT_EQ(f.ftl.peekPage(5), data);
 }
 
 TEST(Ftl, OverwriteReplacesData)
@@ -186,7 +185,6 @@ TEST_P(FtlRandomProperty, ReadAfterWriteUnderChurn)
     }
     for (const auto &[lpn, tag] : shadow)
         EXPECT_EQ(f.ftl.peekPage(lpn), fill(tag, 256));
-    f.eq.run();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlRandomProperty,
@@ -207,6 +205,48 @@ TEST(Ftl, ParallelReadsAcrossDiesOverlap)
                                  ms::transferTicks(
                                      cfg.pageBytes,
                                      cfg.channelBytesPerSec)));
+}
+
+TEST(Ftl, ReadOverMappedAndUnmappedPagesIsPinned)
+{
+    // LPNs 2..7 with 3, 4 and 6 mapped: unmapped pages complete at the
+    // request tick and draw no fault; each mapped page draws once, in
+    // LPN order. Ticks, the error flag and the counters are values
+    // recorded from a known good build.
+    FtlFixture f;
+    ms::Tick t = 0;
+    for (const std::uint64_t lpn : {3u, 4u, 6u})
+        t = f.ftl.writePages(lpn, fill(static_cast<std::uint8_t>(lpn), 256),
+                             t);
+    ASSERT_EQ(t, 1801920000u);
+    ms::FaultPlan plan;
+    plan.mediaRate = 0.5;
+    plan.seed = 3;
+    ms::FaultInjector fi(plan);
+    ms::ScopedFaultInjector scope(&fi);
+
+    bool media = false;
+    std::vector<ms::Tick> ticks;
+    const ms::Tick done = f.ftl.readPages(2, 6, t, &media, &ticks);
+    EXPECT_EQ(done, 1922560000u);
+    EXPECT_EQ(ticks, (std::vector<ms::Tick>{1801920000, 1862560000,
+                                            1862560000, 1801920000,
+                                            1922560000, 1801920000}));
+    EXPECT_TRUE(media);
+    EXPECT_EQ(fi.mediaErrors(), 2u);
+    ms::stats::StatSet set;
+    f.ftl.registerStats(set, "ftl");
+    EXPECT_EQ(set.counterValue("ftl.hostReads"), 6u);
+    EXPECT_EQ(f.flash.readsIssued().value(), 3u);
+
+    media = false;
+    EXPECT_EQ(f.ftl.readPages(2, 6, done, &media, &ticks), 2043200000u);
+    EXPECT_EQ(ticks, (std::vector<ms::Tick>{1922560000, 1983200000,
+                                            1983200000, 1922560000,
+                                            2043200000, 1922560000}));
+    EXPECT_TRUE(media);
+    EXPECT_EQ(fi.mediaErrors(), 4u);
+    EXPECT_EQ(set.counterValue("ftl.hostReads"), 12u);
 }
 
 TEST(FtlDeath, ReadBeyondCapacityPanics)
