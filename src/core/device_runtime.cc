@@ -346,8 +346,11 @@ MorpheusDeviceRuntime::doMRead(const nvme::Command &cmd, sim::Tick start)
     const std::uint64_t byte_off = cmd.slba * nvme::kBlockBytes;
     const std::uint64_t valid =
         cmd.cdw13 ? cmd.cdw13 : cmd.dataBytes();
-    MORPHEUS_ASSERT(valid <= cmd.dataBytes(),
-                    "valid byte count exceeds the LBA range");
+    // The host sizes NLB to cover CDW13's valid bytes; a command whose
+    // byte count overruns its LBA range is malformed. Refuse it before
+    // it can pin the stream order or touch flash.
+    if (valid > cmd.dataBytes())
+        return {start, nvme::Status::kInvalidField, 0};
 
     // Stream-order guard: after a failed chunk the host may still have
     // later chunks of the same batch in flight. Feeding them would run
@@ -621,6 +624,10 @@ MorpheusDeviceRuntime::doMWrite(const nvme::Command &cmd, sim::Tick start)
 
     const std::uint64_t valid =
         cmd.cdw13 ? cmd.cdw13 : cmd.dataBytes();
+    // Same NLB/CDW13 contract as MREAD: the byte count sizes the DMA
+    // and its buffer, so an overrun is refused before either.
+    if (valid > cmd.dataBytes())
+        return {start, nvme::Status::kInvalidField, 0};
 
     // A serializing stream is not a pure parse of a flash range: its
     // MDEINIT return value and delivered bytes don't describe a

@@ -308,6 +308,79 @@ TEST(DeviceRuntime, MWriteSerializesToFlash)
     EXPECT_EQ(back, a.values);
 }
 
+TEST(DeviceRuntime, MReadOverrunningItsLbaRangeIsInvalidField)
+{
+    Rig rig;
+    const auto a = wk::genIntArray(35, 4000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto extent = rig.sys.createFile("ints", w.bytes());
+    const auto target_addr = rig.sys.allocHost(a.objectBytes());
+    ASSERT_TRUE(rig.minit(1, rig.images.intArray,
+                          co::DmaTarget{target_addr, false})
+                    .ok());
+
+    // NLB 0 covers one 512-byte block, but CDW13 claims 4096 bytes.
+    nv::Command bad;
+    bad.opcode = nv::Opcode::kMRead;
+    bad.instanceId = 1;
+    bad.slba = extent.startByte / nv::kBlockBytes;
+    bad.nlb = 0;
+    bad.cdw13 = 4096;
+    const auto cqe = rig.io(bad);
+    EXPECT_EQ(cqe.status, nv::Status::kInvalidField);
+
+    // The refusal pinned nothing: a well-formed stream from the same
+    // offset completes with the exact object.
+    const auto fin = rig.streamAll(1, extent, cqe.postedAt);
+    ASSERT_TRUE(fin.ok());
+    EXPECT_EQ(fin.dw0, a.values.size());
+    const auto bin = rig.sys.mem().store().readVec(
+        target_addr, static_cast<std::size_t>(a.objectBytes()));
+    EXPECT_EQ(sd::IntArrayObject::fromBinary(bin), a);
+}
+
+TEST(DeviceRuntime, MWriteOverrunningItsLbaRangeIsInvalidField)
+{
+    Rig rig;
+    const auto a = wk::genIntArray(36, 100);
+    std::vector<std::uint8_t> bin;
+    for (const auto v : a.values) {
+        const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
+        bin.insert(bin.end(), p, p + 8);
+    }
+    const morpheus::pcie::Addr src = rig.sys.allocHost(bin.size());
+    rig.sys.mem().store().writeVec(src, bin);
+    const std::uint64_t dst_byte = 64ULL * 1024 * 1024;
+    ASSERT_TRUE(rig.minit(2, rig.images.int64Serializer,
+                          co::DmaTarget{src, false})
+                    .ok());
+
+    nv::Command wr;
+    wr.opcode = nv::Opcode::kMWrite;
+    wr.instanceId = 2;
+    wr.prp1 = src;
+    wr.slba = dst_byte / nv::kBlockBytes;
+    wr.nlb = 0;
+    wr.cdw13 = 4096;
+    const auto cqe = rig.io(wr);
+    EXPECT_EQ(cqe.status, nv::Status::kInvalidField);
+
+    // A well-formed MWRITE at the same SLBA still lands the text.
+    wr.nlb = static_cast<std::uint16_t>(
+        (bin.size() + nv::kBlockBytes - 1) / nv::kBlockBytes - 1);
+    wr.cdw13 = static_cast<std::uint32_t>(bin.size());
+    ASSERT_TRUE(rig.io(wr, cqe.postedAt).ok());
+    const auto text =
+        rig.sys.ssd().peekBytes(dst_byte, 16 * a.values.size() + 16);
+    sd::TextScanner s(text.data(), text.size());
+    std::vector<std::int64_t> back;
+    std::int64_t v = 0;
+    while (s.nextInt64(&v) && back.size() < a.values.size())
+        back.push_back(v);
+    EXPECT_EQ(back, a.values);
+}
+
 TEST(DeviceRuntime, MWriteCursorContinuesAcrossCommands)
 {
     // Two MWRITE chunks of binary values must serialize to one
