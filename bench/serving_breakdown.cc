@@ -32,7 +32,7 @@
 #include "bench_common.hh"
 #include "obs/critical_path.hh"
 #include "obs/flight_recorder.hh"
-#include "obs/timeline.hh"
+#include "obs/gauge_series.hh"
 #include "workloads/serving.hh"
 
 using namespace morpheus;
@@ -97,7 +97,7 @@ main()
     obs::FlightRecorderConfig frc;
     frc.slowestK = 8;
     obs::FlightRecorder recorder(frc);
-    obs::Timeline timeline(100 * sim::kPsPerUs);
+    obs::GaugeSeries timeline(100 * sim::kPsPerUs);
     wk::ServingOptions inst_opts = makeOptions();
     inst_opts.flightRecorder = &recorder;
     inst_opts.breakdown = true;

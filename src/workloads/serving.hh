@@ -33,8 +33,8 @@
 #include "nvme/driver.hh"
 #include "obs/critical_path.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/gauge_series.hh"
 #include "obs/metrics.hh"
-#include "obs/timeline.hh"
 #include "sched/hybrid_policy.hh"
 #include "shard/shard_router.hh"
 #include "sim/fault.hh"
@@ -236,7 +236,7 @@ struct ServingOptions
      * timeline's simulated-time cadence. runServing() defines the
      * columns and starts the cadence at the first arrival.
      */
-    obs::Timeline *timeline = nullptr;
+    obs::GaugeSeries *timeline = nullptr;
 
     /** Per-tenant latency-SLO burn tracking (see SloOptions). */
     SloOptions slo{};

@@ -12,7 +12,7 @@
 
 #include "obs/critical_path.hh"
 #include "obs/flight_recorder.hh"
-#include "obs/timeline.hh"
+#include "obs/gauge_series.hh"
 #include "obs/trace.hh"
 
 namespace ob = morpheus::obs;
@@ -369,9 +369,9 @@ TEST(FlightRecorder, WriteChromeJsonAddsRequestNavigationSpans)
 
 // ----------------------------------------------------------- timeline
 
-TEST(Timeline, SamplesAtExactIntervalBoundaries)
+TEST(GaugeSeries, SamplesAtExactIntervalBoundaries)
 {
-    ob::Timeline tl(1000);
+    ob::GaugeSeries tl(1000);
     tl.setColumns({"a", "b"});
     EXPECT_FALSE(tl.due(5000));  // not started yet
 
@@ -392,9 +392,9 @@ TEST(Timeline, SamplesAtExactIntervalBoundaries)
     EXPECT_EQ(tl.nextSampleAt(), 6000u);
 }
 
-TEST(Timeline, WritesJsonAndCsvConsistently)
+TEST(GaugeSeries, WritesJsonAndCsvConsistently)
 {
-    ob::Timeline tl(morpheus::sim::kPsPerUs);  // 1 us cadence
+    ob::GaugeSeries tl(morpheus::sim::kPsPerUs);  // 1 us cadence
     tl.setColumns({"inflight", "bytes"});
     tl.start(0);
     tl.record({2.0, 4096.0});
@@ -419,9 +419,9 @@ TEST(Timeline, WritesJsonAndCsvConsistently)
               "1.000000,3.5,8192\n");
 }
 
-TEST(Timeline, EmptyTimelineWritesValidJson)
+TEST(GaugeSeries, EmptySeriesWritesValidJson)
 {
-    ob::Timeline tl(1000);
+    ob::GaugeSeries tl(1000);
     tl.setColumns({"x"});
     std::ostringstream os;
     tl.writeJson(os);

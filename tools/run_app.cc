@@ -25,8 +25,8 @@
 
 #include "obs/critical_path.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/gauge_series.hh"
 #include "obs/metrics.hh"
-#include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "shard/fleet_topology.hh"
 #include "workloads/runner.hh"
@@ -281,7 +281,7 @@ serveMain(int argc, char **argv)
         rec = &recorder;
         opts.flightRecorder = rec;
     }
-    obs::Timeline timeline(timeline_interval);
+    obs::GaugeSeries timeline(timeline_interval);
     if (!timeline_path.empty() || !timeline_csv_path.empty())
         opts.timeline = &timeline;
 

@@ -6,8 +6,8 @@ format drift before a human tries to load one in Perfetto or a
 plotting notebook:
 
   --chrome FILE.json    slow-trace / full-trace Chrome trace-event JSON
-  --timeline FILE.json  obs::Timeline JSON
-  --csv FILE.csv        obs::Timeline CSV (checked against --timeline)
+  --timeline FILE.json  obs::GaugeSeries JSON
+  --csv FILE.csv        obs::GaugeSeries CSV (checked against --timeline)
 
 Exit 0 when every named artifact validates; the first violation is
 reported with its path and the offending record.
