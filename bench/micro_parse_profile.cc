@@ -4,7 +4,8 @@
  *
  *  1. A real (native, google-benchmark) measurement of the serde
  *     integer parser, demonstrating it does the actual byte work the
- *     timing models account for.
+ *     timing models account for: per token (nextInt64) and a 64-byte
+ *     window at a time (nextInt64s).
  *  2. The modeled §II profile on the simulated host: the share of
  *     deserialization time spent in string-to-integer conversion
  *     proper versus file-system/syscall overhead (paper: ~15% vs
@@ -52,6 +53,27 @@ BM_ParseIntegers(benchmark::State &state)
         static_cast<std::int64_t>(text.size()));
 }
 
+/** The same text through the windowed run kernel, 512 values a call. */
+void
+BM_ParseIntegersRun(benchmark::State &state)
+{
+    const auto text = intText(static_cast<std::size_t>(state.range(0)));
+    std::int64_t batch[512];
+    std::int64_t sink = 0;
+    for (auto _ : state) {
+        serde::TextScanner s(text.data(), text.size());
+        std::size_t n = 0;
+        while ((n = s.nextInt64s(batch, 512)) > 0) {
+            for (std::size_t i = 0; i < n; ++i)
+                sink += batch[i];
+        }
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(text.size()));
+}
+
 void
 BM_ParseDoubles(benchmark::State &state)
 {
@@ -75,6 +97,7 @@ BM_ParseDoubles(benchmark::State &state)
 }
 
 BENCHMARK(BM_ParseIntegers)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ParseIntegersRun)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ParseDoubles)->Arg(10000)->Arg(100000);
 
 void

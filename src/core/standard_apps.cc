@@ -1,5 +1,7 @@
 #include "core/standard_apps.hh"
 
+#include <algorithm>
+
 namespace morpheus::core {
 
 void
@@ -97,22 +99,28 @@ MatrixApp::processChunk(MsChunkContext &ctx)
 void
 IntArrayApp::processChunk(MsChunkContext &ctx)
 {
-    std::int64_t v = 0;
-    for (;;) {
-        if (!_haveCount) {
-            if (!ctx.msScanfInt(&v))
-                return;
-            _count = static_cast<std::uint32_t>(v);
-            ctx.msEmitValue<std::uint32_t>(_count);
-            _haveCount = true;
-            continue;
-        }
-        if (_valuesDone >= _count)
-            return;
+    if (!_haveCount) {
+        std::int64_t v = 0;
         if (!ctx.msScanfInt(&v))
             return;
-        ctx.msEmitValue<std::int64_t>(v);
-        ++_valuesDone;
+        _count = static_cast<std::uint32_t>(v);
+        ctx.msEmitValue<std::uint32_t>(_count);
+        _haveCount = true;
+    }
+    // Batches stage exactly what one emit per value would: never past
+    // the values remaining (trailing bytes stay unparsed and
+    // uncharged) nor past a flush cut.
+    constexpr std::size_t kBatch = 512;
+    std::int64_t batch[kBatch] = {};
+    while (_valuesDone < _count) {
+        const std::size_t want = std::min<std::size_t>(
+            {kBatch, _count - _valuesDone,
+             ctx.msEmitBatchLimit(sizeof(std::int64_t))});
+        const std::size_t got = ctx.msScanfInts(batch, want);
+        ctx.msEmit(batch, got * sizeof(std::int64_t));
+        _valuesDone += static_cast<std::uint32_t>(got);
+        if (got < want)
+            return;
     }
 }
 

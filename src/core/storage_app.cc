@@ -42,9 +42,14 @@ MsChunkContext::refill(std::uint8_t *dst, std::size_t capacity)
 void
 MsChunkContext::growStaging(std::size_t n)
 {
-    MORPHEUS_ASSERT(n <= _dsramBytes - _staged,
+    MORPHEUS_ASSERT(n <= _dsramBytes,
                     "StorageApp working set exceeds D-SRAM (",
                     _dsramBytes, " bytes); lower the flush threshold");
+    if (n > _dsramBytes - _staged) {
+        flushResidual();
+        if (n <= _stagingCap)
+            return;
+    }
     // Fewer than _flushThreshold bytes stay staged between emits, so
     // two thresholds hold every emit up to a threshold long. Sizing by
     // the whole D-SRAM, or before the first emit, raises peak RSS.

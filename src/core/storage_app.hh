@@ -15,6 +15,7 @@
 #ifndef MORPHEUS_CORE_STORAGE_APP_HH
 #define MORPHEUS_CORE_STORAGE_APP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -56,6 +57,17 @@ class MsChunkContext
     /** ms_scanf("%ld"): next integer token, false at end of chunk. */
     bool msScanfInt(std::int64_t *out) { return _scanner.nextInt64(out); }
 
+    /**
+     * ms_scanf("%ld") repeated: up to @p max integer tokens into
+     * @p out, stopping where msScanfInt() would first return false.
+     * @return the number parsed.
+     */
+    std::size_t
+    msScanfInts(std::int64_t *out, std::size_t max)
+    {
+        return _scanner.nextInt64s(out, max);
+    }
+
     /** ms_scanf("%lf"): next floating-point token. */
     bool msScanfDouble(double *out) { return _scanner.nextDouble(out); }
 
@@ -78,6 +90,22 @@ class MsChunkContext
         _bytesEmitted += n;
         if (_staged >= _flushThreshold)
             cutFlushes();
+    }
+
+    /**
+     * How many @p value_bytes values one msEmit() may stage with the
+     * same flush segments and D-SRAM use as one msEmit() per value: up
+     * to the value that reaches the flush threshold, and none past the
+     * D-SRAM unless the first value already overruns it (then one, so
+     * the early cut falls where it would per value). At least 1.
+     */
+    std::size_t
+    msEmitBatchLimit(std::size_t value_bytes) const
+    {
+        const std::size_t to_flush =
+            (_flushThreshold - _staged + value_bytes - 1) / value_bytes;
+        const std::size_t to_dsram = (_dsramBytes - _staged) / value_bytes;
+        return std::max<std::size_t>(1, std::min(to_flush, to_dsram));
     }
 
     /** Stage one binary value (little endian). */
@@ -182,7 +210,11 @@ class MsChunkContext
 
   private:
     std::size_t refill(std::uint8_t *dst, std::size_t capacity);
-    /** Make room for an @p n byte emit; panics past D-SRAM. */
+    /**
+     * Make room for an @p n byte emit. When the staged bytes and the
+     * emit would overrun D-SRAM, the staged bytes are cut early as a
+     * short flush segment; an emit larger than D-SRAM panics.
+     */
     void growStaging(std::size_t n);
     /** Move every whole threshold of staged bytes into a segment. */
     void cutFlushes();

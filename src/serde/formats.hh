@@ -19,6 +19,7 @@
 #ifndef MORPHEUS_SERDE_FORMATS_HH
 #define MORPHEUS_SERDE_FORMATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -223,13 +224,19 @@ IntArrayObject::parse(Scanner &s)
     std::int64_t n = 0;
     if (!s.nextInt64(&n))
         return false;
+    const auto count = static_cast<std::size_t>(n);
     values.clear();
-    values.reserve(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-        std::int64_t v = 0;
-        if (!s.nextInt64(&v))
+    values.reserve(count);
+    // Parse in slices of the reserved space, so a count that the text
+    // does not back is never zero-filled.
+    while (values.size() < count) {
+        const std::size_t done = values.size();
+        const std::size_t take = std::min<std::size_t>(count - done, 4096);
+        values.resize(done + take);
+        const std::size_t got = s.nextInt64s(values.data() + done, take);
+        values.resize(done + got);
+        if (got < take)
             return false;
-        values.push_back(v);
     }
     return true;
 }

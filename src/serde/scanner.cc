@@ -35,6 +35,21 @@ TextScanner::nextInt64(std::int64_t *out)
     }
 }
 
+std::size_t
+TextScanner::nextInt64s(std::int64_t *out, std::size_t max)
+{
+    std::size_t n = 0;
+    for (;;) {
+        std::size_t run = 0;
+        _p = parseInt64Run(_p, _end, out + n, max - n, &run, _cost);
+        n += run;
+        // Window tail, end of input or a window that is not clean.
+        if (n == max || !nextInt64(out + n))
+            return n;
+        ++n;
+    }
+}
+
 bool
 TextScanner::nextDouble(double *out)
 {
@@ -169,6 +184,27 @@ StreamingScanner::nextInt64Slow(std::int64_t *out)
         }
         const std::uint8_t *skipped = skipToken(start, end, _cost);
         _pos += static_cast<std::size_t>(skipped - start);
+    }
+}
+
+std::size_t
+StreamingScanner::nextInt64s(std::int64_t *out, std::size_t max)
+{
+    std::size_t n = 0;
+    for (;;) {
+        // Only bytes before the last separator: past it a digit run
+        // that a non-digit ends (say "12x") is not a whole token yet.
+        const std::uint8_t *base = _buf.data();
+        std::size_t run = 0;
+        const std::uint8_t *p = parseInt64Run(
+            base + _pos, base + _complete, out + n, max - n, &run, _cost);
+        _pos = static_cast<std::size_t>(p - base);
+        n += run;
+        // Buffer tail (and refills), end of data or a window that is
+        // not clean.
+        if (n == max || !nextInt64(out + n))
+            return n;
+        ++n;
     }
 }
 

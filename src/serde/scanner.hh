@@ -31,6 +31,14 @@ class TextScanner
     /** Parse the next integer token. @return false at end of input. */
     bool nextInt64(std::int64_t *out);
 
+    /**
+     * Parse up to @p max integer tokens into @p out, a window of them
+     * at a time (parseInt64Run()). Returns, positions and costs
+     * exactly as up to @p max nextInt64() calls that stop at the first
+     * false would. @return the number parsed.
+     */
+    std::size_t nextInt64s(std::int64_t *out, std::size_t max);
+
     /** Parse the next floating-point token. */
     bool nextDouble(double *out);
 
@@ -108,6 +116,9 @@ class StreamingScanner
         _pos = static_cast<std::size_t>(p - base);
         return nextInt64Slow(out);
     }
+
+    /** Batched nextInt64(); same contract as TextScanner::nextInt64s. */
+    std::size_t nextInt64s(std::int64_t *out, std::size_t max);
 
     bool nextDouble(double *out);
     bool nextNumber(double *out, bool *is_float);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "serde/formats.hh"
 #include "workloads/generators.hh"
 
@@ -57,6 +60,54 @@ TEST(Formats, IntArrayTextRoundTrip)
             return o.parse(s);
         });
     EXPECT_EQ(a, back);
+}
+
+TEST(Formats, TruncatedIntArrayKeepsTheParsedPrefix)
+{
+    // A text shorter than its count fails, leaving every value parsed
+    // before the end, the last one cut short where the cut is inside
+    // it, through the batched scan on both scanners.
+    const auto a = wk::genIntArray(5, 6000);
+    sd::TextWriter w;
+    a.serialize(w);
+    const auto full = w.take();
+    for (const std::size_t keep :
+         {std::size_t(3), std::size_t(700), full.size() / 2 + 1,
+          full.size() - 9}) {
+        SCOPED_TRACE("keep " + std::to_string(keep));
+        const std::vector<std::uint8_t> text(full.begin(),
+                                             full.begin() + keep);
+        std::vector<std::int64_t> want;
+        {
+            sd::TextScanner s(text.data(), text.size());
+            std::int64_t v = 0;
+            ASSERT_TRUE(s.nextInt64(&v));  // the count
+            while (s.nextInt64(&v))
+                want.push_back(v);
+        }
+        ASSERT_LT(want.size(), a.values.size());
+
+        sd::IntArrayObject got;
+        sd::TextScanner s(text.data(), text.size());
+        EXPECT_FALSE(got.parse(s));
+        EXPECT_EQ(got.values, want);
+
+        std::size_t pos = 0;
+        sd::StreamingScanner stream(
+            [&](std::uint8_t *dst, std::size_t cap) {
+                const std::size_t take = std::min(cap, text.size() - pos);
+                std::copy(text.begin() + static_cast<std::ptrdiff_t>(pos),
+                          text.begin() +
+                              static_cast<std::ptrdiff_t>(pos + take),
+                          dst);
+                pos += take;
+                return take;
+            },
+            1000);
+        sd::IntArrayObject streamed;
+        EXPECT_FALSE(streamed.parse(stream));
+        EXPECT_EQ(streamed.values, want);
+    }
 }
 
 TEST(Formats, MatrixTextRoundTripIntegerValues)

@@ -395,3 +395,206 @@ TEST(StreamingScanner, EverySplitMatchesContiguousScan)
         }
     }
 }
+
+namespace {
+
+/**
+ * Integer text of about @p size bytes: tokens of 1-18 digits (mostly
+ * short), optional signs, every separator kind in runs of varying
+ * length, and, unless @p clean, bytes that stop a window from being
+ * parsed as a run: '.', 'e', letters, lone and doubled signs, signs
+ * right behind a digit, tokens run together and long junk words.
+ */
+std::vector<std::uint8_t>
+intText(morpheus::sim::Rng &rng, std::size_t size, bool clean)
+{
+    static const char kSeps[] = {' ', '\t', '\n', '\r', ',', '\0'};
+    static const char kJunk[] = {'.', 'e', 'x', 'Z', '-', '+', '7'};
+    std::vector<std::uint8_t> out;
+    while (out.size() < size) {
+        std::size_t seps =
+            rng.nextBelow(10) == 0 ? rng.nextBelow(90) : rng.nextBelow(3) + 1;
+        if (!clean && rng.nextBelow(20) == 0)
+            seps = 0;
+        if (!clean && rng.nextBelow(40) == 0) {
+            for (std::size_t i = rng.nextBelow(16); i > 0; --i)
+                out.push_back(
+                    static_cast<std::uint8_t>(kJunk[rng.nextBelow(7)]));
+        }
+        for (std::size_t i = 0; i < seps; ++i)
+            out.push_back(static_cast<std::uint8_t>(kSeps[rng.nextBelow(6)]));
+        if (!clean && rng.nextBelow(25) == 0)
+            out.push_back(static_cast<std::uint8_t>(kJunk[rng.nextBelow(7)]));
+        const std::uint64_t sign = rng.nextBelow(8);
+        if (sign < 2)
+            out.push_back(sign == 0 ? '-' : '+');
+        const std::size_t digits = rng.nextBelow(4) == 0
+                                       ? rng.nextBelow(18) + 1
+                                       : rng.nextBelow(7) + 1;
+        for (std::size_t i = 0; i < digits; ++i)
+            out.push_back(static_cast<std::uint8_t>('0' + rng.nextBelow(10)));
+        if (!clean && rng.nextBelow(25) == 0)
+            out.push_back(static_cast<std::uint8_t>(kJunk[rng.nextBelow(7)]));
+    }
+    return out;
+}
+
+/** Up to @p max nextInt64() calls, stopping at the first false. */
+template <typename Scanner>
+std::size_t
+nextInt64Loop(Scanner &s, std::int64_t *out, std::size_t max)
+{
+    std::size_t n = 0;
+    while (n < max && s.nextInt64(out + n))
+        ++n;
+    return n;
+}
+
+/** A random cap: zero, one, a few, a window's worth or many. */
+std::size_t
+randomMax(morpheus::sim::Rng &rng)
+{
+    switch (rng.nextBelow(5)) {
+      case 0: return rng.nextBelow(2);
+      case 1: return rng.nextBelow(4) + 1;
+      case 2: return rng.nextBelow(20) + 1;
+      case 3: return rng.nextBelow(300) + 1;
+      default: return 100000;
+    }
+}
+
+/**
+ * One nextInt64s() call on @p batched against the per-token loop on
+ * @p ref. Every consumed byte is counted, so equal ParseCost::bytes is
+ * an equal position. @return the number parsed.
+ */
+template <typename Scanner>
+std::size_t
+expectSameBatch(Scanner &batched, Scanner &ref, std::size_t max)
+{
+    std::vector<std::int64_t> got(max), want(max);
+    const std::size_t n = batched.nextInt64s(got.data(), max);
+    const std::size_t m = nextInt64Loop(ref, want.data(), max);
+    EXPECT_EQ(n, m) << "max " << max;
+    got.resize(n);
+    want.resize(m);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(batched.cost().bytes, ref.cost().bytes);
+    EXPECT_EQ(batched.cost().intValues, ref.cost().intValues);
+    EXPECT_EQ(batched.cost().floatValues, ref.cost().floatValues);
+    EXPECT_EQ(batched.cost().floatOps, ref.cost().floatOps);
+    return n;
+}
+
+}  // namespace
+
+TEST(ScannerFuzz, TextNextInt64sMatchesPerTokenLoop)
+{
+    morpheus::sim::Rng rng(1616);
+    for (int round = 0; round < 400; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const auto data =
+            intText(rng, rng.nextBelow(3000), /*clean=*/round % 3 == 0);
+        sd::TextScanner batched(data.data(), data.size());
+        sd::TextScanner ref(data.data(), data.size());
+        for (;;) {
+            const std::size_t max = randomMax(rng);
+            const std::size_t n = expectSameBatch(batched, ref, max);
+            if (::testing::Test::HasFailure())
+                return;
+            if (n < max)
+                break;
+        }
+        EXPECT_EQ(batched.cost().bytes, data.size());
+    }
+}
+
+TEST(ScannerFuzz, StreamingNextInt64sMatchesPerTokenLoop)
+{
+    // Incremental mode, as a StorageApp runs it: random chunk splits,
+    // each chunk drained until a call comes up short, then end of
+    // stream. Random buffer sizes put refills inside and between
+    // windows.
+    morpheus::sim::Rng rng(6161);
+    for (int round = 0; round < 300; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const auto data =
+            intText(rng, rng.nextBelow(6000), /*clean=*/round % 3 == 0);
+        std::vector<std::size_t> cuts{0};
+        while (cuts.back() < data.size())
+            cuts.push_back(std::min<std::size_t>(
+                data.size(), cuts.back() + rng.nextBelow(1500) + 1));
+        const std::size_t buffer = rng.nextBelow(4) == 0
+                                       ? rng.nextBelow(100) + 1
+                                       : rng.nextBelow(4096) + 64;
+        // Each scanner pulls through its own cursor, up to the
+        // released limit.
+        std::size_t limit = 0;
+        std::size_t pos[2] = {0, 0};
+        auto feed = [&](int which) {
+            return [&, which](std::uint8_t *dst, std::size_t cap) {
+                const std::size_t take = std::min(cap, limit - pos[which]);
+                std::copy(data.begin() + pos[which],
+                          data.begin() + pos[which] + take, dst);
+                pos[which] += take;
+                return take;
+            };
+        };
+        sd::StreamingScanner batched(feed(0), buffer, true);
+        sd::StreamingScanner ref(feed(1), buffer, true);
+        auto drain = [&] {
+            for (;;) {
+                const std::size_t max = randomMax(rng);
+                const std::size_t n = expectSameBatch(batched, ref, max);
+                EXPECT_EQ(batched.refills(), ref.refills());
+                if (n < max || ::testing::Test::HasFailure())
+                    return;
+            }
+        };
+        for (std::size_t c = 1; c < cuts.size(); ++c) {
+            limit = cuts[c];
+            drain();
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        batched.setEndOfStream();
+        ref.setEndOfStream();
+        drain();
+        EXPECT_TRUE(batched.atEnd());
+        EXPECT_EQ(batched.cost().bytes, data.size());
+    }
+}
+
+TEST(StreamingScanner, NextInt64sLeavesATokenRunningPastTheChunk)
+{
+    // "123" is a whole number to parseInt64 (the 'x' ends it), but the
+    // chunk ends before any separator, so the scanner must wait for
+    // the next chunk, as nextInt64 does. Every shift puts "123" at
+    // each place of the first window, the end of it included.
+    for (std::size_t shift = 57; shift < 70; ++shift) {
+        SCOPED_TRACE("shift " + std::to_string(shift));
+        const std::string first =
+            "9" + std::string(shift, ' ') + "123" + std::string(12, 'x');
+        const std::string chunks[] = {first, "xx 8 -7\n"};
+        std::size_t released = 0;
+        std::size_t at[2] = {0, 0};
+        auto feed = [&](int which) {
+            return [&, which](std::uint8_t *dst, std::size_t) {
+                if (at[which] >= released)
+                    return std::size_t(0);
+                const std::string &c = chunks[at[which]++];
+                std::copy(c.begin(), c.end(), dst);
+                return c.size();
+            };
+        };
+        sd::StreamingScanner batched(feed(0), 256, true);
+        sd::StreamingScanner ref(feed(1), 256, true);
+        released = 1;
+        EXPECT_EQ(expectSameBatch(batched, ref, 100), 1u);  // 9
+        released = 2;
+        EXPECT_EQ(expectSameBatch(batched, ref, 100), 3u);  // 123 8 -7
+        batched.setEndOfStream();
+        ref.setEndOfStream();
+        EXPECT_EQ(expectSameBatch(batched, ref, 100), 0u);
+    }
+}

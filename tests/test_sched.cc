@@ -769,6 +769,32 @@ TEST(Serving, BreakerOpenTenantIsNotDoubleRoutedByOverload)
     }
 }
 
+TEST(Serving, FlushThresholdAtTheDsramGrantCompletes)
+{
+    // Eight instances per core grant 32 KiB each, and MINIT clamps the
+    // 60 KiB threshold to it: staging then fills the whole grant, and
+    // an emit that would overrun it cuts the staged bytes early
+    // instead of aborting the simulator.
+    wk::ServingOptions opts;
+    opts.durationSec = 0.005;
+    opts.seed = 11;
+    wk::TenantSpec spec;
+    spec.id = 1;
+    spec.arrivalsPerSec = 4000.0;
+    spec.sizeClassValues = {8000};
+    spec.sizeClassProb = {1.0};
+    opts.tenants.push_back(spec);
+    opts.sys.ssd.sched.dsramPartitioning = true;
+    opts.sys.ssd.sched.maxInstancesPerCore = 8;
+    opts.flushThreshold = 60 * 1024;
+
+    const wk::ServingReport r = wk::runServing(opts);
+    EXPECT_GT(r.submitted, 0u);
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.completed + r.rejected, r.submitted);
+    EXPECT_EQ(r.lost, 0u);
+}
+
 TEST(Serving, AdmissionRejectOutcomesArePinned)
 {
     // An admission-denied MINIT is a terminal rejection, not a bounce:

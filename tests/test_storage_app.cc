@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "core/standard_apps.hh"
@@ -246,11 +247,34 @@ TEST(MsChunkContext, RandomEmitsMatchReferenceStaging)
     }
 }
 
+TEST(MsChunkContext, EmitOverrunningDsramCutsStagedBytesEarly)
+{
+    // Threshold == D-SRAM: 40 staged + 40 more would overrun the 64
+    // bytes, so the staged 40 leave first as a short segment.
+    co::MsChunkContext ctx(64, 64, 0);
+    const auto a = pattern(40, 7);
+    const auto b = pattern(40, 8);
+    ctx.msEmit(a.data(), a.size());
+    ctx.msEmit(b.data(), b.size());
+    EXPECT_EQ(ctx.dsramUse(), 40u);
+    auto segs = ctx.takeFlushes();
+    ASSERT_EQ(segs.size(), 1u);
+    EXPECT_EQ(segs[0], a);
+    // The next threshold cut counts from the early cut.
+    ctx.msEmit(a.data(), 24);
+    EXPECT_EQ(ctx.dsramUse(), 0u);
+    segs = ctx.takeFlushes();
+    ASSERT_EQ(segs.size(), 1u);
+    std::vector<std::uint8_t> want(b);
+    want.insert(want.end(), a.begin(), a.begin() + 24);
+    EXPECT_EQ(segs[0], want);
+    EXPECT_EQ(ctx.bytesEmitted(), 104u);
+}
+
 TEST(MsChunkContextDeath, EmitPastDsramPanics)
 {
     co::MsChunkContext ctx(64, 64, 0);
-    const auto a = pattern(40, 7);
-    ctx.msEmit(a.data(), a.size());
+    const auto a = pattern(65, 7);
     EXPECT_DEATH(ctx.msEmit(a.data(), a.size()), "exceeds D-SRAM");
 }
 
@@ -297,6 +321,140 @@ TEST(StandardApps, IntArrayApp)
     a.serialize(w);
     co::IntArrayApp app(0);
     EXPECT_EQ(runApp(app, w.bytes(), 512), a.toBinary());
+}
+
+namespace {
+
+/** Reference: IntArrayApp with one msScanfInt() and msEmit() per value. */
+class PerValueIntArrayApp : public co::StorageApp
+{
+  public:
+    void
+    processChunk(co::MsChunkContext &ctx) override
+    {
+        std::int64_t v = 0;
+        for (;;) {
+            if (!_haveCount) {
+                if (!ctx.msScanfInt(&v))
+                    return;
+                _count = static_cast<std::uint32_t>(v);
+                ctx.msEmitValue<std::uint32_t>(_count);
+                _haveCount = true;
+                continue;
+            }
+            if (_valuesDone >= _count)
+                return;
+            if (!ctx.msScanfInt(&v))
+                return;
+            ctx.msEmitValue<std::int64_t>(v);
+            ++_valuesDone;
+        }
+    }
+
+    std::uint32_t returnValue() const override { return _valuesDone; }
+
+  private:
+    bool _haveCount = false;
+    std::uint32_t _count = 0;
+    std::uint32_t _valuesDone = 0;
+};
+
+/** Everything the engine sees of one run, chunk by chunk. */
+struct AppTrace
+{
+    std::vector<sd::ParseCost> costs;
+    std::vector<std::uint32_t> dsramUse;
+    std::vector<std::vector<std::vector<std::uint8_t>>> flushes;
+    std::uint32_t returnValue = 0;
+};
+
+AppTrace
+traceApp(co::StorageApp &app, const std::vector<std::uint8_t> &text,
+         const std::vector<std::size_t> &cuts, std::uint32_t dsram,
+         std::uint32_t threshold)
+{
+    co::MsChunkContext ctx(dsram, threshold, 0);
+    AppTrace t;
+    auto step = [&] {
+        app.processChunk(ctx);
+        t.costs.push_back(ctx.takeCostDelta());
+        t.dsramUse.push_back(ctx.dsramUse());
+        t.flushes.push_back(ctx.takeFlushes());
+    };
+    for (std::size_t c = 1; c < cuts.size(); ++c) {
+        ctx.feedChunk(std::vector<std::uint8_t>(
+            text.begin() + static_cast<std::ptrdiff_t>(cuts[c - 1]),
+            text.begin() + static_cast<std::ptrdiff_t>(cuts[c])));
+        step();
+    }
+    ctx.signalEndOfStream();
+    step();
+    app.finish(ctx);
+    ctx.flushResidual();
+    t.flushes.push_back(ctx.takeFlushes());
+    t.returnValue = app.returnValue();
+    return t;
+}
+
+}  // namespace
+
+TEST(StandardApps, IntArrayAppBatchesMatchPerValueStaging)
+{
+    // Per chunk: cost delta, flush segments and staged bytes, over
+    // random chunkings, flush thresholds of 1 and 8 bytes, a quarter
+    // D-SRAM and all of it (where emits cut staging early), a count
+    // followed by trailing values and junk, a count the text falls
+    // short of, and NUL padding to whole 512-byte blocks.
+    morpheus::sim::Rng rng(1717);
+    for (int round = 0; round < 48; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const auto a = wk::genIntArray(
+            static_cast<std::uint64_t>(round),
+            static_cast<std::uint32_t>(rng.nextBelow(3000)));
+        sd::TextWriter w;
+        a.serialize(w);
+        std::vector<std::uint8_t> text = w.take();
+        switch (round % 4) {
+          case 1: {  // trailing values and junk after the count
+            const std::string tail = " 12 -7 3x 4.5 99\n";
+            text.insert(text.end(), tail.begin(), tail.end());
+            break;
+          }
+          case 2:  // truncated: the count promises more
+            text.erase(text.end() - static_cast<std::ptrdiff_t>(
+                                        text.size() / 3),
+                       text.end());
+            break;
+          case 3:  // block padding
+            text.insert(text.end(), (512 - text.size() % 512) % 512, 0);
+            break;
+          default:
+            break;
+        }
+        std::vector<std::size_t> cuts{0};
+        while (cuts.back() < text.size())
+            cuts.push_back(std::min<std::size_t>(
+                text.size(), cuts.back() + rng.nextBelow(3000) + 1));
+        const std::uint32_t dsram = round % 2 ? 4096 : 1000;
+        for (const std::uint32_t threshold : {1u, 8u, dsram / 4, dsram}) {
+            SCOPED_TRACE("threshold " + std::to_string(threshold));
+            co::IntArrayApp app(0);
+            PerValueIntArrayApp ref;
+            const AppTrace got = traceApp(app, text, cuts, dsram, threshold);
+            const AppTrace want = traceApp(ref, text, cuts, dsram, threshold);
+            ASSERT_EQ(got.costs.size(), want.costs.size());
+            for (std::size_t i = 0; i < got.costs.size(); ++i) {
+                EXPECT_EQ(got.costs[i].bytes, want.costs[i].bytes) << i;
+                EXPECT_EQ(got.costs[i].intValues, want.costs[i].intValues)
+                    << i;
+            }
+            EXPECT_EQ(got.dsramUse, want.dsramUse);
+            EXPECT_EQ(got.flushes, want.flushes);
+            EXPECT_EQ(got.returnValue, want.returnValue);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
 }
 
 TEST(StandardApps, PointSetApp)
