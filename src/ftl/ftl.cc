@@ -33,19 +33,10 @@ Ftl::Ftl(flash::FlashArray &array, const FtlConfig &config)
     _logicalPages = static_cast<std::uint64_t>(
         static_cast<double>(fc.pages()) * usable);
 
-    // Populate the free pool: every block, ordered so that popping from
-    // the back yields block 0 of each plane first.
-    _freeBlocks.reserve(fc.blocks());
-    for (unsigned blk = fc.blocksPerPlane; blk-- > 0;) {
-        for (unsigned c = fc.channels; c-- > 0;) {
-            for (unsigned d = fc.diesPerChannel; d-- > 0;) {
-                for (unsigned p = fc.planesPerDie; p-- > 0;) {
-                    _freeBlocks.push_back(
-                        flash::BlockPointer{c, d, p, blk});
-                }
-            }
-        }
-    }
+    // Every block starts free and never opened.
+    _freedBlocks.resize(fc.planes());
+    _nextFresh.assign(fc.planes(), 0);
+    _freeCount = fc.blocks();
     _activeBlocks.assign(fc.planes(), kUnmapped);
 }
 
@@ -58,6 +49,16 @@ Ftl::flatBlock(const flash::BlockPointer &b) const
     idx = idx * fc.planesPerDie + b.plane;
     idx = idx * fc.blocksPerPlane + b.block;
     return idx;
+}
+
+flash::BlockPointer
+Ftl::planeBlock(unsigned plane, unsigned block) const
+{
+    const auto &fc = _array.config();
+    const unsigned p = plane % fc.planesPerDie;
+    plane /= fc.planesPerDie;
+    return flash::BlockPointer{plane / fc.diesPerChannel,
+                               plane % fc.diesPerChannel, p, block};
 }
 
 sim::Tick
@@ -163,7 +164,7 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
 
     // Trigger GC before picking a block (never recursively from GC's
     // own relocation writes).
-    if (!_inGc && _freeBlocks.size() < _config.gcLowWatermark) {
+    if (!_inGc && _freeCount < _config.gcLowWatermark) {
         const sim::Tick t = collectGarbage(now);
         if (gc_done)
             *gc_done = std::max(*gc_done, t);
@@ -187,16 +188,20 @@ Ftl::allocatePage(std::uint64_t lpn, sim::Tick now, sim::Tick *gc_done)
             active = kUnmapped;  // block full; retire from stripe
         }
 
-        // Open a fresh block for this plane if the pool has one.
-        const auto fit = std::find_if(
-            _freeBlocks.rbegin(), _freeBlocks.rend(),
-            [&](const flash::BlockPointer &b) {
-                return planeIndex(fc, b) == plane;
-            });
-        if (fit == _freeBlocks.rend())
+        // Open a free block of this plane: the most recently freed
+        // one, else the lowest never-opened one.
+        std::vector<unsigned> &freed = _freedBlocks[plane];
+        unsigned block = 0;
+        if (!freed.empty()) {
+            block = freed.back();
+            freed.pop_back();
+        } else if (_nextFresh[plane] < fc.blocksPerPlane) {
+            block = _nextFresh[plane]++;
+        } else {
             continue;  // no free block in this plane; try the next
-        const flash::BlockPointer addr = *fit;
-        _freeBlocks.erase(std::next(fit).base());
+        }
+        --_freeCount;
+        const flash::BlockPointer addr = planeBlock(plane, block);
 
         const std::uint64_t blk = flatBlock(addr);
         BlockState bs;
@@ -224,7 +229,7 @@ Ftl::collectGarbage(sim::Tick now)
     ++_gcRuns;
     sim::Tick done = now;
 
-    while (_freeBlocks.size() < _config.gcHighWatermark) {
+    while (_freeCount < _config.gcHighWatermark) {
         // Greedy victim: fewest valid pages among full, non-active
         // blocks; ties go to the least-erased block (static wear
         // levelling — cycling cold blocks back into service).
@@ -275,7 +280,9 @@ Ftl::collectGarbage(sim::Tick now)
         const sim::Tick er =
             _array.erase(victim_state.addr, reads_done);
         done = std::max(done, er);
-        _freeBlocks.push_back(victim_state.addr);
+        _freedBlocks[planeIndex(fc, victim_state.addr)].push_back(
+            victim_state.addr.block);
+        ++_freeCount;
     }
 
     _inGc = false;

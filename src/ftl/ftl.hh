@@ -97,7 +97,7 @@ class Ftl
     std::vector<std::uint8_t> peekPage(std::uint64_t lpn) const;
 
     /** Free blocks remaining in the allocation pool. */
-    std::size_t freeBlocks() const { return _freeBlocks.size(); }
+    std::size_t freeBlocks() const { return _freeCount; }
 
     /** Spread between the most- and least-erased written blocks. */
     std::uint64_t maxEraseDelta() const;
@@ -132,6 +132,9 @@ class Ftl
 
     std::uint64_t flatBlock(const flash::BlockPointer &b) const;
 
+    /** Address of block @p block of array-wide plane @p plane. */
+    flash::BlockPointer planeBlock(unsigned plane, unsigned block) const;
+
     /** Decode a flat physical page index into its flash address. */
     flash::PagePointer physicalPage(std::uint64_t ppn) const;
 
@@ -144,8 +147,15 @@ class Ftl
     /** Flat physical page index -> block state + page slot. */
     std::unordered_map<std::uint64_t, BlockState> _blocks;
 
-    /** Blocks never written or erased and returned to the pool. */
-    std::vector<flash::BlockPointer> _freeBlocks;
+    /** Per plane: blocks GC erased and returned to the pool, reopened
+     *  most recently freed first. */
+    std::vector<std::vector<unsigned>> _freedBlocks;
+    /** Per plane: the lowest never-opened block. It and every block
+     *  above it are free, and open in ascending order once the plane's
+     *  freed blocks run out. */
+    std::vector<unsigned> _nextFresh;
+    /** Free blocks over all planes, freed and never opened. */
+    std::size_t _freeCount = 0;
     /** Active write blocks, one per plane, used round-robin. */
     std::vector<std::uint64_t> _activeBlocks;
     std::size_t _nextPlane = 0;

@@ -3,24 +3,9 @@
 #include <algorithm>
 
 #include "nvme/command.hh"
+#include "sim/logging.hh"
 
 namespace morpheus::host {
-
-const char *
-hostExecReasonName(HostExecReason r)
-{
-    switch (r) {
-      case HostExecReason::kBreaker:
-        return "breaker";
-      case HostExecReason::kProbe:
-        return "probe";
-      case HostExecReason::kOverload:
-        return "overload";
-      case HostExecReason::kSplit:
-        return "split";
-    }
-    return "?";
-}
 
 HostExecEngine::HostExecEngine(HostSystem &sys, double cost_scale)
     : _sys(sys), _costScale(cost_scale)
@@ -31,6 +16,8 @@ sim::Tick
 HostExecEngine::execute(const HostExecRequest &req, unsigned core,
                         sim::Tick when)
 {
+    MORPHEUS_ASSERT(req.backend != nullptr && req.chunkBytes > 0,
+                    "host execution needs a backend and a chunk size");
     OsModel &os = _sys.os();
     HostCpu &cpu = _sys.cpu();
 
@@ -45,9 +32,10 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
                             : req.objectBytes * range / file_bytes;
 
     // Raw staging buffer X and the object buffer Y.
-    const pcie::Addr buf_x = _sys.allocHost(kChunkBytes);
+    const pcie::Addr buf_x = _sys.allocHost(req.chunkBytes);
     _sys.allocHost(obj_bytes);
     const sim::Tick opened = os.syscall(core, when);  // open()
+    // First-touch faults on the freshly allocated object buffer.
     sim::Tick cpu_cursor = os.pageFaults(
         core, os.faultsForBytes(obj_bytes), opened);
 
@@ -58,14 +46,20 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
     std::uint64_t offset = 0;
     while (offset < range) {
         const std::uint64_t len =
-            std::min<std::uint64_t>(kChunkBytes, range - offset);
-        // A split's remainder can start mid-block; the device reads
-        // whole blocks, so align the I/O down (a no-op — identical
-        // call — for the block-aligned whole-extent path).
+            std::min<std::uint64_t>(req.chunkBytes, range - offset);
+        // The kernel's readahead keeps a deep queue of requests at the
+        // device: every chunk is issued at @p when and the device-side
+        // resource timelines (flash dies, channels, PCIe link) do the
+        // serializing, so sequential streams run at device bandwidth,
+        // not one-request latency. A split's remainder can start
+        // mid-block; the device reads whole blocks, so align the I/O
+        // down (a no-op for a block-aligned start).
         const std::uint64_t start = req.extent.startByte + offset;
         const std::uint64_t skew = start % nvme::kBlockBytes;
-        const sim::Tick io_done = _sys.ssdBackend(req.device).read(
-            start - skew, len + skew, buf_x, when);
+        const sim::Tick io_done =
+            req.backend->read(start - skew, len + skew, buf_x, when);
+        // read() syscall + FS work + blocking switch pair, then the
+        // string-to-binary conversion itself.
         const sim::Tick ready = std::max(cpu_cursor, io_done);
         const sim::Tick fs_done =
             os.blockingReadOverhead(core, len, ready);
@@ -73,12 +67,11 @@ HostExecEngine::execute(const HostExecRequest &req, unsigned core,
                                static_cast<double>(len) /
                                static_cast<double>(file_bytes);
         cpu_cursor = cpu.execute(core, convert, fs_done);
+        // Memory traffic: raw into X (DMA, counted by the backend),
+        // raw out of X, objects into Y.
         _sys.mem().cpuAccess(len, obj_bytes * len / range, fs_done);
         offset += len;
     }
-
-    ++_execs[static_cast<std::size_t>(req.reason)];
-    _deliveredBytes += obj_bytes;
 
     if (auto *sink = obs::traceSink())
         obs::recordSpan(*sink, "host.exec", "host_exec", "host", when,
@@ -98,7 +91,7 @@ HostExecEngine::coreBacklogUs(unsigned core, sim::Tick now) const
 }
 
 unsigned
-HostExecEngine::leastLoadedCore(sim::Tick now) const
+HostExecEngine::leastLoadedCore() const
 {
     const unsigned cores = _sys.cpu().config().cores;
     unsigned best = 0;
@@ -110,23 +103,13 @@ HostExecEngine::leastLoadedCore(sim::Tick now) const
             best = c;
         }
     }
-    (void)now;
     return best;
 }
 
 double
 HostExecEngine::minBacklogUs(sim::Tick now) const
 {
-    return coreBacklogUs(leastLoadedCore(now), now);
-}
-
-std::uint64_t
-HostExecEngine::totalExecutions() const
-{
-    std::uint64_t sum = 0;
-    for (const std::uint64_t n : _execs)
-        sum += n;
-    return sum;
+    return coreBacklogUs(leastLoadedCore(), now);
 }
 
 }  // namespace morpheus::host

@@ -56,26 +56,19 @@ CoreDispatcher::leastLoadedCore(sim::Tick now,
                                 std::uint32_t dsram_needed) const
 {
     // A core without room for the instance's D-SRAM grant would bounce
-    // the MINIT, so fit leads. With backlog-aware placement the
-    // declared-but-unserved stream bytes come next: residency counts a
-    // 4 GB stream and a 4 KB one as equal load, pending bytes do not.
-    // Resident-instance count follows (and leads when the knob is off
-    // or nothing was declared): a host session only keeps about one
-    // MREAD batch reserved on its core's timeline at a time, so
-    // between batches a core hosting a huge in-flight stream reports a
-    // near-zero backlog. The instantaneous timeline backlog only
-    // breaks ties.
+    // the MINIT, so fit leads. Resident-instance count follows: a host
+    // session only keeps about one MREAD batch reserved on its core's
+    // timeline at a time, so between batches a core hosting a huge
+    // in-flight stream reports a near-zero backlog. The instantaneous
+    // timeline backlog only breaks ties.
     unsigned best = 0;
     auto best_key = std::make_tuple(
-        true, std::numeric_limits<std::uint64_t>::max(),
-        std::numeric_limits<unsigned>::max(),
+        true, std::numeric_limits<unsigned>::max(),
         std::numeric_limits<sim::Tick>::max(), 0u);
     for (unsigned c = 0; c < _numCores; ++c) {
-        const std::uint64_t pending =
-            _config.backlogAwarePlacement ? _pendingBytes[c] : 0;
         const auto key = std::make_tuple(!fitsDsram(c, dsram_needed),
-                                         pending, _residents[c],
-                                         backlog(c, now), c);
+                                         _residents[c], backlog(c, now),
+                                         c);
         if (key < best_key) {
             best_key = key;
             best = c;

@@ -58,15 +58,15 @@ class CoreDispatcher
      * instance's scratchpad grant (0 = unpartitioned): cores that can
      * hold it are preferred over cores that would bounce the MINIT.
      * @p declared_bytes is the stream length the MINIT declared
-     * in-band (SLBA); with SchedConfig::backlogAwarePlacement it packs
-     * instances by pending bytes instead of resident count.
+     * in-band (SLBA); it does not steer placement but feeds the
+     * per-core pendingBytes() load signal.
      */
     unsigned placeInstance(std::uint32_t instance, sim::Tick now,
                            std::uint32_t dsram_needed = 0,
                            std::uint64_t declared_bytes = 0);
 
     /** A data command served @p bytes of @p instance's declared
-     *  stream: drain the per-core pending-bytes packing signal. */
+     *  stream: drain the per-core pending-bytes load signal. */
     void noteServedBytes(std::uint32_t instance, std::uint64_t bytes);
 
     /** Core serving the next chunk; may carry a migration decision. */

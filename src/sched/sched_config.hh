@@ -53,17 +53,6 @@ struct SchedConfig
      *  (the I-SRAM reload is charged separately from the code size). */
     double migrationCycles = 25000.0;
 
-    /**
-     * Place new instances by declared stream bytes instead of resident
-     * count (load-aware placement only). MINIT carries the stream's
-     * byte length in its otherwise unused SLBA field; the dispatcher
-     * tracks those declared-but-unserved bytes per core and packs a new
-     * instance onto the core with the fewest pending bytes, so one
-     * huge stream no longer counts the same as a tiny one. Instances
-     * that declare nothing (SLBA = 0) fall back to resident-count
-     * packing among themselves.
-     */
-    bool backlogAwarePlacement = false;
     /** Minimum backlog gap (current core minus best core) that
      *  justifies a migration. */
     sim::Tick migrationMinGain = 50 * sim::kPsPerUs;

@@ -97,7 +97,7 @@ class TenantArbiter
 
     /** Declared-but-unserved bytes of one instance (0 when unknown) —
      *  the in-band MINIT SLBA declaration minus the data commands seen
-     *  since, the placement signal behind backlogAwarePlacement. */
+     *  since. */
     std::uint64_t declaredBacklog(std::uint32_t instance) const;
 
     /** Device-wide declared-but-unserved bytes over every open

@@ -10,6 +10,7 @@
 #include "core/host_runtime.hh"
 #include "core/nvme_p2p.hh"
 #include "core/standard_apps.hh"
+#include "host/host_exec.hh"
 #include "sim/logging.hh"
 #include "workloads/partition.hh"
 
@@ -56,64 +57,8 @@ struct RankInput
 {
     AnyObject object;                 ///< Ground truth shard.
     std::vector<std::uint8_t> text;   ///< Serialized shard.
-    host::FileExtent extent;          ///< Where it lives on the device.
-    std::uint64_t backendOffset = 0;  ///< Offset for HDD/RAM backends.
+    host::FileExtent extent;          ///< Where it lives on the backend.
 };
-
-/** Baseline deserialization of one rank's file. @return finish tick. */
-sim::Tick
-baselineDeserRank(host::HostSystem &sys, host::StorageBackend &backend,
-                  const AppSpec &app, const RankInput &input,
-                  unsigned core, sim::Tick t0, std::uint64_t obj_bytes,
-                  const serde::ParseCost &cost)
-{
-    host::OsModel &os = sys.os();
-    host::HostCpu &cpu = sys.cpu();
-    host::HostMemory &mem = sys.mem();
-
-    // Raw staging buffer X and the object buffer Y (Fig 1(b)).
-    const pcie::Addr buf_x = sys.allocHost(app.baselineChunkBytes);
-    sys.allocHost(obj_bytes);  // buffer Y
-
-    sim::Tick t = os.syscall(core, t0);  // open()
-    // First-touch faults on the freshly allocated object buffer.
-    sim::Tick cpu_cursor =
-        os.pageFaults(core, os.faultsForBytes(obj_bytes), t);
-
-    const std::uint64_t file_bytes = input.text.size();
-    const double total_convert = cpu.convertCycles(cost);
-
-    std::uint64_t offset = 0;
-    while (offset < file_bytes) {
-        const std::uint64_t len = std::min<std::uint64_t>(
-            app.baselineChunkBytes, file_bytes - offset);
-        // The kernel's readahead keeps a deep queue of requests at the
-        // device: every chunk is issued eagerly and the device-side
-        // resource timelines (flash dies, channels, PCIe link) do the
-        // actual serialization, so sequential streams run at device
-        // bandwidth, not one-request latency.
-        const sim::Tick io_done = backend.read(
-            input.backendOffset + offset, len, buf_x, t0);
-
-        // read() syscall + FS work + blocking switch pair, then the
-        // string-to-binary conversion itself (phase B).
-        const sim::Tick ready = std::max(cpu_cursor, io_done);
-        const sim::Tick fs_done =
-            os.blockingReadOverhead(core, len, ready);
-        const double convert =
-            total_convert * static_cast<double>(len) /
-            static_cast<double>(file_bytes);
-        cpu_cursor = cpu.execute(core, convert, fs_done);
-
-        // Memory traffic: raw into X (DMA, already counted by the
-        // backend), raw out of X, objects into Y.
-        const std::uint64_t obj_share =
-            obj_bytes * len / file_bytes;
-        mem.cpuAccess(len, obj_share, fs_done);
-        offset += len;
-    }
-    return cpu_cursor;
-}
 
 /** Charge the (parallel) CPU kernel across the app's ranks. */
 sim::Tick
@@ -173,11 +118,11 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
             inputs[r].extent = sys.createFile(
                 app.name + ".part" + std::to_string(r),
                 inputs[r].text);
-            inputs[r].backendOffset = inputs[r].extent.startByte;
             ingest_done =
                 std::max(ingest_done, inputs[r].extent.readyAt);
         } else {
-            inputs[r].backendOffset = backend_cursor;
+            inputs[r].extent.startByte = backend_cursor;
+            inputs[r].extent.sizeBytes = inputs[r].text.size();
             ingest_done = std::max(
                 ingest_done,
                 backend->ingest(backend_cursor, inputs[r].text));
@@ -227,11 +172,17 @@ runWorkload(const AppSpec &app, const RunOptions &opts)
     std::vector<std::uint64_t> gpu_dev_addrs(ranks, 0);
 
     if (opts.mode == ExecutionMode::kBaseline) {
+        // Fig 1(b): each rank read()s its file through the app's
+        // staging buffer and converts it on its own core.
+        host::HostExecEngine engine(sys);
         for (unsigned r = 0; r < ranks; ++r) {
-            const sim::Tick t = baselineDeserRank(
-                sys, *backend, app, inputs[r], r, t0, obj_sizes[r],
-                costs[r]);
-            deser_done = std::max(deser_done, t);
+            host::HostExecRequest req;
+            req.backend = backend;
+            req.chunkBytes = app.baselineChunkBytes;
+            req.extent = inputs[r].extent;
+            req.objectBytes = obj_sizes[r];
+            req.cost = costs[r];
+            deser_done = std::max(deser_done, engine.execute(req, r, t0));
         }
         produced = reference;  // the CPU parse is the reference parse
     } else {

@@ -319,6 +319,13 @@ setStageScalars(obs::MetricsRegistry &reg, const std::string &prefix,
     }
 }
 
+/** Why a request ran on the host path instead of the device. */
+enum class FallbackReason : std::uint8_t {
+    kBreaker,   ///< Circuit breaker open (or post-failure rescue).
+    kProbe,     ///< A failed half-open probe's rescue.
+    kOverload,  ///< Hybrid placement spilled past device pressure.
+};
+
 /** One request's routing state and what happened to it. */
 struct Outcome
 {
@@ -326,7 +333,7 @@ struct Outcome
     bool rejected = false;
     bool fellBack = false;
     /** Valid when fellBack: which trigger host-routed it. */
-    host::HostExecReason fallbackReason = host::HostExecReason::kBreaker;
+    FallbackReason fallbackReason = FallbackReason::kBreaker;
     bool split = false;
     bool shedRejected = false;
     std::uint64_t retries = 0;
@@ -858,7 +865,7 @@ class ServingRun
         _outcomes[req_idx].probe =
             br_route == sched::CircuitBreaker::Route::kProbe;
         if (br_route == sched::CircuitBreaker::Route::kHost) {
-            fallBack(req_idx, when, host::HostExecReason::kBreaker);
+            fallBack(req_idx, when, FallbackReason::kBreaker);
             return false;
         }
         if (!_opts.hybrid.enabled || req.write ||
@@ -878,7 +885,7 @@ class ServingRun
             return true;
           case sched::ExecPlacement::kHost:
             recordServingInstant("place_host", tenantId(req_idx), when);
-            fallBack(req_idx, when, host::HostExecReason::kOverload);
+            fallBack(req_idx, when, FallbackReason::kOverload);
             return false;
           case sched::ExecPlacement::kShed:
             shed(req_idx, when, pd.retryAfterUs);
@@ -970,10 +977,8 @@ class ServingRun
             host::FileExtent rest = inst.extent;
             rest.startByte += cut;
             rest.sizeBytes -= cut;
-            const host::HostExecRequest hreq =
-                hostRequest(req_idx, rest, host::HostExecReason::kSplit);
-            out.splitHostDone =
-                _hostExec.execute(hreq, _hostExec.leastLoadedCore(when), when);
+            out.splitHostDone = _hostExec.execute(
+                hostRequest(req_idx, rest), _hostExec.leastLoadedCore(), when);
             out.split = true;
         }
         if (_freeSlots.empty()) {
@@ -1010,7 +1015,7 @@ class ServingRun
                 // The device named its condition with an explicit
                 // kOverloaded: spill to the host now instead of
                 // re-queueing on the device.
-                fallBack(req_idx, done, host::HostExecReason::kOverload);
+                fallBack(req_idx, done, FallbackReason::kOverload);
                 return;
             }
         }
@@ -1092,8 +1097,8 @@ class ServingRun
         if (_opts.breakerThreshold > 0) {
             fallBack(req_idx, when,
                      _outcomes[req_idx].probe
-                         ? host::HostExecReason::kProbe
-                         : host::HostExecReason::kBreaker);
+                         ? FallbackReason::kProbe
+                         : FallbackReason::kBreaker);
         } else {
             finish(req_idx, Terminal::kLost, when);
         }
@@ -1105,14 +1110,14 @@ class ServingRun
      *  is faulting; the hybrid policy uses it as spill capacity past
      *  device saturation. */
     void fallBack(unsigned req_idx, sim::Tick when,
-                  host::HostExecReason reason)
+                  FallbackReason reason)
     {
         const Request &req = _requests[req_idx];
         const ObjectInstance &inst = objectOf(req_idx);
         // Breaker-path rescues keep the classic tenant-pinned core;
         // overload spill spreads over the least-loaded core.
-        const unsigned core = reason == host::HostExecReason::kOverload
-                                  ? _hostExec.leastLoadedCore(when)
+        const unsigned core = reason == FallbackReason::kOverload
+                                  ? _hostExec.leastLoadedCore()
                                   : req.tenantIdx % _sys.cpu().config().cores;
         // A write request's rescue is the baseline host serialization: the
         // CPU formats the values and a plain write lands the text, modeled
@@ -1123,8 +1128,8 @@ class ServingRun
         host::FileExtent extent = req.write ? inst.writeDst : inst.extent;
         if (out.splitCut > 0)
             extent.sizeBytes = out.splitCut;
-        const auto hreq = hostRequest(req_idx, extent, reason);
-        sim::Tick done = _hostExec.execute(hreq, core, when);
+        sim::Tick done =
+            _hostExec.execute(hostRequest(req_idx, extent), core, when);
         if (out.splitCut > 0) {
             done = std::max(done, out.splitHostDone);
             out.splitCut = 0;
@@ -1139,19 +1144,18 @@ class ServingRun
      *  of it, a failed split's device prefix, or a split's host
      *  remainder). */
     host::HostExecRequest hostRequest(unsigned req_idx,
-                                      const host::FileExtent &extent,
-                                      host::HostExecReason reason)
+                                      const host::FileExtent &extent)
     {
         const ObjectInstance &inst = objectOf(req_idx);
         const bool write = _requests[req_idx].write;
         host::HostExecRequest hreq;
+        hreq.backend = &_sys.ssdBackend(inst.device);
+        hreq.chunkBytes = host::HostExecEngine::kChunkBytes;
         hreq.extent = extent;
         hreq.fileBytes = (write ? inst.writeDst : inst.extent).sizeBytes;
         hreq.objectBytes = write ? inst.writeSrcBytes : inst.objectBytes;
         hreq.cost = inst.cost;
-        hreq.device = inst.device;
         hreq.tenant = tenantId(req_idx);
-        hreq.reason = reason;
         hreq.trace = hostTrace(req_idx);
         return hreq;
     }
@@ -1355,7 +1359,7 @@ class ServingRun
             tr.shedBounces += out.shedBounces;
             tr.deviceFailures += out.deviceFailures;
             if (out.fellBack) {
-                using Reason = host::HostExecReason;
+                using Reason = FallbackReason;
                 ++tr.fallbacks;
                 tr.fallbackBreaker += out.fallbackReason == Reason::kBreaker;
                 tr.fallbackProbe += out.fallbackReason == Reason::kProbe;

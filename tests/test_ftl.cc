@@ -277,3 +277,85 @@ TEST(Ftl, WearLevellingKeepsEraseSpreadBounded)
     // relative to the total erase count.
     EXPECT_LE(f.ftl.maxEraseDelta(), 12u);
 }
+
+TEST(Ftl, BlocksOpenFreedLifoThenFreshAscendingPerPlane)
+{
+    // Equal watermarks make every GC run free exactly one block, so
+    // each erase shows up on the write that caused it. Hammering four
+    // LPNs leaves plenty of zero-valid victims: GC relocates nothing,
+    // and every block open is a host write landing on page 0.
+    ft::FtlConfig cfg;
+    cfg.gcLowWatermark = 4;
+    cfg.gcHighWatermark = 4;
+    fl::FlashConfig fc = tinyFlash();
+    fc.blocksPerPlane = 8;
+    fc.pagesPerBlock = 4;
+    fl::FlashArray flash(fc);
+    ft::Ftl ftl(flash, cfg);
+    const unsigned planes = fc.planes();  // one plane per channel
+
+    // Reference pool: per plane, a stack of GC-freed blocks over a
+    // cursor of never-opened blocks.
+    std::vector<std::vector<unsigned>> freed(planes);
+    std::vector<unsigned> fresh(planes, 0);
+    std::vector<std::uint64_t> erases(planes * fc.blocksPerPlane, 0);
+    unsigned lifo_pops = 0, freed_before_fresh = 0;
+    for (unsigned w = 0; w < 400; ++w) {
+        std::vector<std::uint8_t> data(fc.pageBytes, 0x5A);
+        data[0] = static_cast<std::uint8_t>(w);
+        data[1] = static_cast<std::uint8_t>(w >> 8);
+        ftl.writePages(w % 4, data, 0);
+
+        unsigned erased = 0;
+        for (unsigned p = 0; p < planes; ++p) {
+            for (unsigned b = 0; b < fc.blocksPerPlane; ++b) {
+                const std::uint64_t n =
+                    flash.eraseCount(fl::BlockPointer{p, 0, 0, b});
+                if (n != erases[p * fc.blocksPerPlane + b]) {
+                    erases[p * fc.blocksPerPlane + b] = n;
+                    freed[p].push_back(b);
+                    ++erased;
+                }
+            }
+        }
+        ASSERT_LE(erased, 1u) << "write " << w;
+
+        bool found = false;
+        for (unsigned p = 0; p < planes && !found; ++p) {
+            for (unsigned b = 0; b < fc.blocksPerPlane && !found; ++b) {
+                for (unsigned pg = 0; pg < fc.pagesPerBlock; ++pg) {
+                    const fl::PagePointer at{p, 0, 0, b, pg};
+                    if (!flash.isProgrammed(at) || flash.peek(at) != data)
+                        continue;
+                    found = true;
+                    if (pg != 0)
+                        break;
+                    // This write opened block b of plane p.
+                    unsigned want = 0;
+                    if (!freed[p].empty()) {
+                        lifo_pops += freed[p].size() >= 2;
+                        freed_before_fresh +=
+                            fresh[p] < fc.blocksPerPlane;
+                        want = freed[p].back();
+                        freed[p].pop_back();
+                    } else {
+                        want = fresh[p]++;
+                    }
+                    ASSERT_EQ(b, want) << "write " << w << " plane " << p;
+                    break;
+                }
+            }
+        }
+        ASSERT_TRUE(found) << "write " << w;
+
+        std::size_t pool = 0;
+        for (unsigned p = 0; p < planes; ++p)
+            pool += freed[p].size() + (fc.blocksPerPlane - fresh[p]);
+        ASSERT_EQ(ftl.freeBlocks(), pool) << "write " << w;
+    }
+    EXPECT_GT(ftl.gcRuns(), 10u);
+    // Both ordering rules were exercised: a freed block beat a fresh
+    // one, and the most recent of several freed blocks opened first.
+    EXPECT_GT(freed_before_fresh, 0u);
+    EXPECT_GT(lifo_pops, 0u);
+}

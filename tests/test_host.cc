@@ -1,15 +1,20 @@
 /**
  * @file
  * Host-side model tests: sparse memory, DRAM accounting, CPU DVFS and
- * parse cost, OS overhead accounting, GPU roofline, and the assembled
- * HostSystem (file creation and read-back).
+ * parse cost, OS overhead accounting, GPU roofline, the assembled
+ * HostSystem (file creation and read-back), and the host-execution
+ * engine's cost model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
+#include "host/host_exec.hh"
 #include "host/host_system.hh"
+#include "nvme/command.hh"
 
 namespace ho = morpheus::host;
 namespace ms = morpheus::sim;
@@ -230,4 +235,119 @@ TEST(HostSystem, RegisterStatsDumpsTheWholeMachine)
     EXPECT_GT(set.counterValue("ssd.flash.programs"), 0u);
     EXPECT_GT(set.counterValue("ssd.nvme.commands"), 0u);
     EXPECT_GT(set.counterValue("pcie.fabricBytes"), 0u);
+}
+
+TEST(HostExecEngine, WholeFileOnRamDriveMatchesHandArithmetic)
+{
+    ho::HostSystem sys;
+    ho::RamDriveBackend ram(sys.mem());
+    const std::uint64_t file_bytes = 100 * 1024;  // 64 KiB + 36 KiB
+    ram.ingest(0, std::vector<std::uint8_t>(file_bytes, '7'));
+    ho::HostExecRequest req;
+    req.backend = &ram;
+    req.chunkBytes = 64 * 1024;
+    req.extent.sizeBytes = file_bytes;
+    req.objectBytes = 80000;
+    req.cost.bytes = file_bytes;
+    req.cost.intValues = 10000;
+    const ms::Tick when = 10 * ms::kPsPerUs;
+    const std::uint64_t bus_before = sys.mem().busBytesTotal();
+
+    ho::HostExecEngine engine(sys);
+    const ms::Tick done = engine.execute(req, 0, when);
+
+    // Both chunk copies (issued at `when`, serialized on the memory
+    // bus) land before open() and the page faults are through, so the
+    // CPU never waits on the RAM drive.
+    const auto t = [](double cycles) {
+        return ms::cyclesToTicks(cycles, 2.5e9);
+    };
+    ASSERT_LT(ms::transferTicks(2 * file_bytes,
+                                sys.mem().config().bytesPerSec),
+              t(9000) + t(20 * 4000));
+    // Core 0 at 2.5 GHz, back to back: open(), 20 first-touch faults
+    // on the 80000-byte object buffer, then per chunk one blocking
+    // read() (syscall + 10.5 cycles/B + a context-switch pair) and the
+    // chunk's share of 182880 conversion cycles (1.2 per byte, 6 per
+    // integer).
+    const ms::Tick want =
+        when + t(9000) + t(20 * 4000) +
+        t(9000 + 10.5 * 65536 + 14000) + t(182880.0 * 65536 / 102400) +
+        t(9000 + 10.5 * 36864 + 14000) + t(182880.0 * 36864 / 102400);
+    EXPECT_EQ(done, want);
+    EXPECT_EQ(sys.os().syscalls(), 3u);
+    EXPECT_EQ(sys.os().contextSwitches(), 20u + 2 * 2);
+
+    // Memory bus: each RAM-drive copy moves a chunk three times (DMA
+    // write, memcpy read and write); the CPU then reads it out of the
+    // staging buffer and writes its share of the 80000 object bytes
+    // (51200 + 28800).
+    EXPECT_EQ(sys.mem().busBytesTotal() - bus_before,
+              3 * file_bytes + file_bytes + 80000);
+}
+
+namespace {
+
+/** Records every read and completes it one microsecond later. */
+class RecordingBackend : public ho::StorageBackend
+{
+  public:
+    std::string name() const override { return "recording"; }
+    ms::Tick ingest(std::uint64_t,
+                    const std::vector<std::uint8_t> &) override
+    {
+        return 0;
+    }
+    ms::Tick read(std::uint64_t offset, std::uint64_t len,
+                  morpheus::pcie::Addr, ms::Tick earliest) override
+    {
+        reads.emplace_back(offset, len);
+        return earliest + ms::kPsPerUs;
+    }
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> reads;
+};
+
+}  // namespace
+
+TEST(HostExecEngine, SplitRemainderReadsFromTheBlockBoundary)
+{
+    ho::HostSystem sys;
+    RecordingBackend rec;
+    // The device covers the first 1000 bytes of a 300000-byte file;
+    // the host converts the rest, which starts 488 bytes into a block.
+    ho::HostExecRequest req;
+    req.backend = &rec;
+    req.chunkBytes = 128 * 1024;
+    req.extent.startByte = 4096 + 1000;
+    req.extent.sizeBytes = 299000;
+    req.fileBytes = 300000;
+    req.objectBytes = 240000;
+    req.cost.bytes = 300000;
+    req.cost.intValues = 30000;
+    const ms::Tick when = 5 * ms::kPsPerUs;
+    const std::uint64_t bus_before = sys.mem().busBytesTotal();
+
+    ho::HostExecEngine engine(sys);
+    const ms::Tick done = engine.execute(req, 1, when);
+    EXPECT_GT(done, when + ms::kPsPerUs);
+
+    // Each read starts on the block boundary below its chunk and ends
+    // where the chunk ends; together they cover the whole remainder.
+    ASSERT_EQ(rec.reads.size(), 3u);
+    const std::uint64_t end = req.extent.startByte + req.extent.sizeBytes;
+    std::uint64_t chunk = req.extent.startByte;
+    for (const auto &[offset, len] : rec.reads) {
+        EXPECT_EQ(offset % morpheus::nvme::kBlockBytes, 0u);
+        EXPECT_EQ(offset, chunk - 488);
+        chunk = std::min(chunk + req.chunkBytes, end);
+        EXPECT_EQ(offset + len, chunk);
+    }
+    EXPECT_EQ(chunk, end);
+
+    // The object bytes are prorated to the remainder (240000 x
+    // 299000/300000 = 239200), then per chunk (104857 + 104857 +
+    // 29484, rounded down); the CPU also reads all 299000 raw bytes.
+    EXPECT_EQ(sys.mem().busBytesTotal() - bus_before,
+              299000u + 2 * 104857u + 29484u);
 }

@@ -141,36 +141,25 @@ TEST(CoreDispatcher, DsramPackingPrefersCoresWithRoom)
     EXPECT_EQ(d.placeInstance(1, 0, 0), 0u);
 }
 
-TEST(CoreDispatcher, BacklogAwarePlacementPacksByBytes)
+TEST(CoreDispatcher, DeclaredBytesDrainButDoNotSteerPlacement)
 {
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.backlogAwarePlacement = true;
-    sched::CoreDispatcher d(cfg, 2,
+    sched::CoreDispatcher d(loadAwareConfig(), 2,
                             [](unsigned) { return sim::Tick{0}; });
     // A declares a 1 MB stream and lands on core 0 (index tie-break);
-    // B declares 1 KB and lands on core 1 (fewer residents).
-    ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
-    ASSERT_EQ(d.placeInstance(2, 0, 0, 1 << 10), 1u);
-    // Resident-count packing would tie 1-vs-1 and send C to core 0;
-    // byte packing sees 1 MB vs 1 KB pending and picks core 1.
-    EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 1u);
-    EXPECT_EQ(d.pendingBytes(0), std::uint64_t{1} << 20);
-    EXPECT_EQ(d.pendingBytes(1), std::uint64_t{2} << 10);
-}
-
-TEST(CoreDispatcher, ServedBytesDrainThePackingSignal)
-{
-    sched::SchedConfig cfg = loadAwareConfig();
-    cfg.backlogAwarePlacement = true;
-    sched::CoreDispatcher d(cfg, 2,
-                            [](unsigned) { return sim::Tick{0}; });
+    // B declares 512 KB and lands on core 1 (fewer residents).
     ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
     ASSERT_EQ(d.placeInstance(2, 0, 0, 512 << 10), 1u);
-    // Instance 1's stream is mostly served: core 0 now has the
-    // smaller pending-byte load, so the next declaration packs there.
-    d.noteServedBytes(1, 900 << 10);
-    EXPECT_EQ(d.pendingBytes(0), (std::uint64_t{1} << 20) - (900 << 10));
+    EXPECT_EQ(d.pendingBytes(0), std::uint64_t{1} << 20);
+    EXPECT_EQ(d.pendingBytes(1), std::uint64_t{512} << 10);
+    // The declarations are a load signal, not a placement key: the
+    // resident count ties 1-vs-1 and breaks by index, although core 0
+    // has more bytes pending.
     EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 0u);
+    EXPECT_EQ(d.pendingBytes(0), (std::uint64_t{1} << 20) + (1 << 10));
+    // Served bytes drain the signal.
+    d.noteServedBytes(1, 900 << 10);
+    EXPECT_EQ(d.pendingBytes(0),
+              (std::uint64_t{1} << 20) - (900 << 10) + (1 << 10));
     // Over-serving (host streamed more than declared) clamps at zero,
     // and release clears any residue.
     d.noteServedBytes(2, 10 << 20);
@@ -178,17 +167,6 @@ TEST(CoreDispatcher, ServedBytesDrainThePackingSignal)
     d.releaseInstance(1);
     d.releaseInstance(3);
     EXPECT_EQ(d.pendingBytes(0), 0u);
-}
-
-TEST(CoreDispatcher, BacklogAwareOffIgnoresDeclaredBytes)
-{
-    // Knob off: the declaration is tracked but does not steer
-    // placement — resident count ties break by index as before.
-    sched::CoreDispatcher d(loadAwareConfig(), 2,
-                            [](unsigned) { return sim::Tick{0}; });
-    ASSERT_EQ(d.placeInstance(1, 0, 0, 1 << 20), 0u);
-    ASSERT_EQ(d.placeInstance(2, 0, 0, 1 << 10), 1u);
-    EXPECT_EQ(d.placeInstance(3, 0, 0, 1 << 10), 0u);
 }
 
 TEST(CoreDispatcher, MigrationSkipsTargetsWithoutDsramRoom)
